@@ -1,8 +1,8 @@
 """Minimal dense-tensor reverse-mode autodiff on numpy buffers.
 
 Covers exactly the primitive set the segmentation network needs: batched
-matmul, direct 3D convolution / transposed convolution, instance and layer
-norm, softmax, a handful of pointwise ops, and the usual shape plumbing
+matmul, a direct stride-1 3D convolution, instance and layer norm,
+softmax, a handful of pointwise ops, and the usual shape plumbing
 (reshape / permute / pad / concat / slice / reductions).  The graph is
 tape-based: each op output keeps closures over its parents, and
 ``backward`` walks the recorded ops in reverse topological order exactly
@@ -45,10 +45,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -422,24 +418,20 @@ def matmul(a, b) -> Tensor:
 
 # -- convolutions -----------------------------------------------------------
 
-def conv3d(x, w, b=None, stride=1, padding=0) -> Tensor:
-    """Cross-correlation of x:(Cin,D,H,W) with w:(Cout,Cin,k,k,k)."""
+def conv3d(x, w, b=None, padding=0) -> Tensor:
+    """Stride-1 cross-correlation of x:(Cin,D,H,W) with w:(Cout,Cin,k,k,k)."""
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 5:
         raise ShapeError(f"conv3d: expected x rank 4 and w rank 5, got {x.shape}, {w.shape}")
     if x.shape[0] != w.shape[1]:
         raise ShapeError(f"conv3d: channel mismatch: x {x.shape} vs w {w.shape}")
-    k = w.shape[2]
-    s, p = int(stride), int(padding)
-    for ext in x.shape[1:]:
-        if (ext + 2 * p - k) % s != 0 or ext + 2 * p < k:
-            raise ShapeError(
-                f"conv3d: non-integral output extent for input {x.shape}, k={k}, stride={s}, pad={p}")
+    k, p = w.shape[2], int(padding)
+    if min(x.shape[1:]) + 2 * p < k:
+        raise ShapeError(f"conv3d: input {x.shape} with pad={p} is smaller than kernel k={k}")
 
     xp = np.pad(x.data, ((0, 0), (p, p), (p, p), (p, p))) if p else x.data
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
-    win = win[:, ::s, ::s, ::s]  # (Cin, D', H', W', k, k, k)
-    out = np.tensordot(w.data, win, axes=([1, 2, 3, 4], [0, 4, 5, 6]))
+    out = np.tensordot(w.data, win, axes=([1, 2, 3, 4], [0, 4, 5, 6]))  # win: (Cin,D',H',W',k,k,k)
     out = np.ascontiguousarray(out)
     if b is not None:
         b = as_tensor(b)
@@ -459,51 +451,10 @@ def conv3d(x, w, b=None, stride=1, padding=0) -> Tensor:
                 for b_ in range(k):
                     for c_ in range(k):
                         piece = np.tensordot(w.data[:, :, a_, b_, c_], g, axes=([0], [0]))
-                        gxp[:, a_:a_ + s * Dp:s, b_:b_ + s * Hp:s, c_:c_ + s * Wp:s] += piece
+                        gxp[:, a_:a_ + Dp, b_:b_ + Hp, c_:c_ + Wp] += piece
             if p:
-                gxp = gxp[:, p:-p or None, p:-p or None, p:-p or None]
+                gxp = gxp[:, p:-p, p:-p, p:-p]
             _accum(x, gxp, grads)
-        if b is not None and b.requires_grad:
-            _accum(b, g.sum(axis=(1, 2, 3)), grads)
-
-    return Tensor._result(out, parents, bw)
-
-
-def conv_transpose3d(x, w, b=None, stride=1) -> Tensor:
-    """Transposed conv with kernel extent equal to stride (pad 0), so the
-    output extent is exactly input extent * stride."""
-    x, w = as_tensor(x), as_tensor(w)
-    if stride < 1:
-        raise ShapeError(f"conv_transpose3d: stride must be >= 1, got {stride}")
-    if x.ndim != 4 or w.ndim != 5:
-        raise ShapeError(f"conv_transpose3d: expected ranks 4/5, got {x.shape}, {w.shape}")
-    if x.shape[0] != w.shape[1]:
-        raise ShapeError(f"conv_transpose3d: channel mismatch: x {x.shape} vs w {w.shape}")
-    k = w.shape[2]
-    s = int(stride)
-    if k != s:
-        raise ShapeError(f"conv_transpose3d: kernel extent {k} must equal stride {s}")
-    co = w.shape[0]
-    _, D, H, W = x.shape
-
-    t = np.tensordot(w.data, x.data, axes=([1], [0]))       # (Cout,k,k,k,D,H,W)
-    t = t.transpose(0, 4, 1, 5, 2, 6, 3)                     # (Cout,D,k,H,k,W,k)
-    out = np.ascontiguousarray(t.reshape(co, D * s, H * s, W * s))
-    if b is not None:
-        b = as_tensor(b)
-        if b.shape != (co,):
-            raise ShapeError(f"conv_transpose3d: bias shape {b.shape} != ({co},)")
-        out = out + b.data[:, None, None, None]
-    parents = (x, w) if b is None else (x, w, b)
-
-    def bw(g, grads):
-        gr = g.reshape(co, D, s, H, s, W, s).transpose(0, 2, 4, 6, 1, 3, 5)  # (Cout,k,k,k,D,H,W)
-        if x.requires_grad:
-            gx = np.tensordot(w.data, gr, axes=([0, 2, 3, 4], [0, 1, 2, 3]))
-            _accum(x, gx, grads)
-        if w.requires_grad:
-            gw = np.tensordot(gr, x.data, axes=([4, 5, 6], [1, 2, 3]))  # (Cout,k,k,k,Cin)
-            _accum(w, gw.transpose(0, 4, 1, 2, 3), grads)
         if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=(1, 2, 3)), grads)
 
@@ -605,10 +556,3 @@ def backward(loss: Tensor):
             node._backward(g, grads)
     loss._done = True
 
-
-# -- verification helpers -----------------------------------------------------
-
-def check_finite(t: Tensor, name="tensor"):
-    if not np.all(np.isfinite(t.data)):
-        raise FloatingPointError(f"{name} contains NaN/Inf")
-    return t

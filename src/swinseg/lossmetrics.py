@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import autodiff as ad
-from .volio import LabelMap
+from .volio import LabelMap, ValidationError
 
 DICE_EPS = 1e-5
 
@@ -65,7 +65,7 @@ def soft_dice_loss(probs: ad.Tensor, target: OneHotTarget,
 def dsc(pred: LabelMap, ref: LabelMap, cls: int) -> float:
     """Dice coefficient 2|P&R| / (|P|+|R|); both empty -> 1, one empty -> 0."""
     if pred.dims != ref.dims:
-        raise ValueError(f"dsc: dims mismatch {pred.dims} vs {ref.dims}")
+        raise ValidationError(f"dsc: dims mismatch {pred.dims} vs {ref.dims}")
     p = pred.labels == cls
     r = ref.labels == cls
     np_, nr = int(p.sum()), int(r.sum())
@@ -99,9 +99,9 @@ def nsd(pred: LabelMap, ref: LabelMap, cls: int, tau_mm: float = 1.0) -> float:
     """Normalized surface Dice at tolerance tau (mm): fraction of boundary
     voxels of each surface lying within tau of the other surface."""
     if pred.dims != ref.dims:
-        raise ValueError(f"nsd: dims mismatch {pred.dims} vs {ref.dims}")
+        raise ValidationError(f"nsd: dims mismatch {pred.dims} vs {ref.dims}")
     if pred.spacing_mm != ref.spacing_mm:
-        raise ValueError(f"nsd: spacing mismatch {pred.spacing_mm} vs {ref.spacing_mm}")
+        raise ValidationError(f"nsd: spacing mismatch {pred.spacing_mm} vs {ref.spacing_mm}")
     if tau_mm <= 0:
         raise ValueError(f"nsd: tau must be positive, got {tau_mm}")
     sp = np.asarray(pred.spacing_mm, dtype=np.float64)

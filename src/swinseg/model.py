@@ -1,22 +1,26 @@
 """Hierarchical 3D shifted-window transformer encoder with a U-shaped CNN
-decoder (residual instance-norm blocks, strided deconv upsampling, skip
-connections) and a per-channel sigmoid segmentation head.
+decoder (residual instance-norm blocks, skip connections, 2x up-sampling
+as a per-voxel linear map followed by depth-to-space) and a per-channel
+sigmoid segmentation head.
 
 Token layout inside the encoder is (D, H, W, C); feature maps at the
-encoder/decoder boundary are channel-first (C, D, H, W).
+encoder/decoder boundary are channel-first (C, D, H, W). Every resolution
+change is a reshape plus a matmul: the patch embedding and patch merging
+use ``space_to_depth``, the decoder's up-sampling ``depth_to_space``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .volio import LabelMap
+from .volio import FormatError, LabelMap
 
 CKPT_MAGIC = b"MCKP0001"
 MASK_NEG = -1e9
@@ -63,11 +67,20 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**d)
+        return cls(**check_keys(cls, d))
+
+
+def check_keys(cls, d):
+    """``d`` itself if every key names a field of dataclass ``cls``, else a
+    ConfigError naming the other keys."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    return d
 
 
 # ---------------------------------------------------------------------------
-# window utilities
+# resolution changes and window utilities
 # ---------------------------------------------------------------------------
 
 def _pad_to_multiple(t: Tensor, m: int):
@@ -79,24 +92,61 @@ def _pad_to_multiple(t: Tensor, m: int):
     return t, t.shape[:3]
 
 
-def window_partition(t: Tensor, m: int):
-    """(D,H,W,C) -> (num_windows, m^3, C); pads to multiples of m first.
-
-    Returns (windows, padded_dims)."""
+def space_to_depth(t: Tensor, m: int) -> Tensor:
+    """(D,H,W,C) -> (D/m, H/m, W/m, m^3 C); pads to multiples of m first.
+    Each m^3 block's features are concatenated in (d, h, w, c) order."""
     t, (dp, hp, wp) = _pad_to_multiple(t, m)
     c = t.shape[3]
     t = ad.reshape(t, (dp // m, m, hp // m, m, wp // m, m, c))
     t = ad.permute(t, (0, 2, 4, 1, 3, 5, 6))
-    return ad.reshape(t, (-1, m ** 3, c)), (dp, hp, wp)
+    return ad.reshape(t, (dp // m, hp // m, wp // m, m ** 3 * c))
+
+
+def depth_to_space(t: Tensor, m: int) -> Tensor:
+    """(D,H,W,m^3 C) -> (mD, mH, mW, C); inverse of space_to_depth."""
+    d, h, w, c = t.shape
+    c //= m ** 3
+    t = ad.reshape(t, (d, h, w, m, m, m, c))
+    t = ad.permute(t, (0, 3, 1, 4, 2, 5, 6))
+    return ad.reshape(t, (m * d, m * h, m * w, c))
+
+
+def patch_embed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Non-overlapping p^3 patch embedding, (Cin,D,H,W) -> tokens
+    (D/p, H/p, W/p, C), of w:(C,Cin,p,p,p) and b:(C,): space-to-depth, then
+    one linear map. Pads D, H, W to multiples of p first."""
+    c, cin, p = w.shape[:3]
+    t = space_to_depth(ad.permute(x, (1, 2, 3, 0)), p)
+    w = ad.reshape(ad.permute(w, (2, 3, 4, 1, 0)), (p ** 3 * cin, c))
+    out = ad.matmul(ad.reshape(t, (-1, t.shape[3])), w) + b
+    return ad.reshape(out, t.shape[:3] + (c,))
+
+
+def upsample(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Learned k-fold up-sampling, (Cin,D,H,W) -> (Cout, kD, kH, kW), of
+    w:(Cout,Cin,k,k,k) and b:(Cout,): a linear map of each voxel to its k^3
+    children, then depth-to-space."""
+    cout, cin, k = w.shape[:3]
+    c, d, h, wd = x.shape
+    w = ad.reshape(ad.permute(w, (1, 2, 3, 4, 0)), (cin, k ** 3 * cout))
+    t = ad.matmul(ad.reshape(ad.permute(x, (1, 2, 3, 0)), (-1, c)), w)
+    t = depth_to_space(ad.reshape(t, (d, h, wd, k ** 3 * cout)), k) + b
+    return ad.permute(t, (3, 0, 1, 2))
+
+
+def window_partition(t: Tensor, m: int):
+    """(D,H,W,C) -> (num_windows, m^3, C); pads to multiples of m first.
+
+    Returns (windows, padded_dims)."""
+    t = space_to_depth(t, m)
+    return (ad.reshape(t, (-1, m ** 3, t.shape[3] // m ** 3)),
+            tuple(m * n for n in t.shape[:3]))
 
 
 def window_reverse(windows: Tensor, padded_dims, m: int) -> Tensor:
     """Inverse of window_partition on the padded grid."""
     dp, hp, wp = padded_dims
-    c = windows.shape[2]
-    t = ad.reshape(windows, (dp // m, hp // m, wp // m, m, m, m, c))
-    t = ad.permute(t, (0, 3, 1, 4, 2, 5, 6))
-    return ad.reshape(t, (dp, hp, wp, c))
+    return depth_to_space(ad.reshape(windows, (dp // m, hp // m, wp // m, -1)), m)
 
 
 def cyclic_shift(t: Tensor, shift: int) -> Tensor:
@@ -245,7 +295,7 @@ class SwinSegModel:
         ch_hi = bott
         for i in range(s, 0, -1):
             ch = c * 2 ** (i - 1)
-            self._add_conv(rng, f"dec.up{i}", ch_hi, ch, 2)  # transposed, k=stride=2
+            self._add_conv(rng, f"dec.up{i}", ch_hi, ch, 2)  # 2x up-sampling
             self._add_resblock(rng, f"dec.res{i}", 2 * ch, ch)
             ch_hi = ch
         self._add_conv(rng, f"dec.up0", ch_hi, c, 2)
@@ -319,34 +369,18 @@ class SwinSegModel:
 
     def patch_merging(self, x: Tensor, stage: int) -> Tensor:
         """Concatenate 2^3 neighborhoods, LayerNorm, project 8C -> 2C."""
-        x, (dp, hp, wp) = _pad_to_multiple(x, 2)
-        c = x.shape[3]
-        x = ad.reshape(x, (dp // 2, 2, hp // 2, 2, wp // 2, 2, c))
-        x = ad.permute(x, (0, 2, 4, 1, 3, 5, 6))
-        x = ad.reshape(x, (dp // 2, hp // 2, wp // 2, 8 * c))
-        x = self._layer_norm(f"merge{stage}.ln", x)
+        x = self._layer_norm(f"merge{stage}.ln", space_to_depth(x, 2))
         return self._linear(f"merge{stage}.lin", x)
-
-    def patch_embed(self, x: Tensor):
-        """(in_ch, D, H, W) -> channel-first token grid plus the original dims."""
-        p = self.cfg.patch_size
-        _, d, h, w = x.shape
-        pads = [(0, 0), (0, (-d) % p), (0, (-h) % p), (0, (-w) % p)]
-        if any(q[1] for q in pads):
-            x = ad.pad(x, pads)
-        return ad.conv3d(x, self.params["embed.w"], self.params["embed.b"],
-                         stride=p, padding=0)
 
     def _resblock(self, name, x: Tensor) -> Tensor:
         h = ad.conv3d(x, self.params[f"{name}.conv1.w"],
-                      self.params[f"{name}.conv1.b"], stride=1, padding=1)
+                      self.params[f"{name}.conv1.b"], padding=1)
         h = ad.instance_norm(h, self.params[f"{name}.in1.g"], self.params[f"{name}.in1.b"])
         h = ad.conv3d(h, self.params[f"{name}.conv2.w"],
-                      self.params[f"{name}.conv2.b"], stride=1, padding=1)
+                      self.params[f"{name}.conv2.b"], padding=1)
         h = ad.instance_norm(h, self.params[f"{name}.in2.g"], self.params[f"{name}.in2.b"])
         if f"{name}.proj.w" in self.params:
-            x = ad.conv3d(x, self.params[f"{name}.proj.w"],
-                          self.params[f"{name}.proj.b"], stride=1, padding=0)
+            x = ad.conv3d(x, self.params[f"{name}.proj.w"], self.params[f"{name}.proj.b"])
         return x + h
 
     # -- forward ---------------------------------------------------------------
@@ -361,8 +395,7 @@ class SwinSegModel:
                 f"input dims {x.shape[1:]} smaller than total downsampling factor "
                 f"{cfg.downsample_factor}")
         feats = [x]
-        t = self.patch_embed(x)                     # (C, D/p, H/p, W/p)
-        t = ad.permute(t, (1, 2, 3, 0))             # tokens (D,H,W,C)
+        t = patch_embed(x, self.params["embed.w"], self.params["embed.b"])  # (D/p,H/p,W/p,C)
         for i, depth in enumerate(cfg.depths):
             for l in range(depth):
                 t = self.swin_block(t, i, l)
@@ -380,15 +413,13 @@ class SwinSegModel:
         x = self._resblock("dec.bottleneck", feats[-1])
         for i in range(s, -1, -1):
             skip = feats[i]
-            x = ad.conv_transpose3d(x, self.params[f"dec.up{i}.w"],
-                                    self.params[f"dec.up{i}.b"], stride=2)
+            x = upsample(x, self.params[f"dec.up{i}.w"], self.params[f"dec.up{i}.b"])
             ds, hs, ws = skip.shape[1:]
             if x.shape[1:] != (ds, hs, ws):
                 x = x[:, :ds, :hs, :ws]
             x = ad.concat([x, skip], axis=0)
             x = self._resblock(f"dec.res{i}", x)
-        logits = ad.conv3d(x, self.params["head.w"], self.params["head.b"],
-                           stride=1, padding=0)
+        logits = ad.conv3d(x, self.params["head.w"], self.params["head.b"])
         return logits, ad.sigmoid(logits)
 
     def forward(self, x: Tensor):
@@ -467,20 +498,38 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a ``.mckp``; a malformed file raises ``FormatError``."""
     with open(path, "rb") as f:
         blob = f.read()
+    if len(blob) < 12:
+        raise FormatError(f"{path}: too short for checkpoint magic + header length", offset=0)
     if blob[:8] != CKPT_MAGIC:
-        raise ValueError(f"bad checkpoint magic in {path}")
+        raise FormatError(f"{path}: bad checkpoint magic {blob[:8]!r}", offset=0)
     (hlen,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12:12 + hlen].decode("utf-8"))
     base = 12 + hlen
+    if len(blob) < base:
+        raise FormatError(f"{path}: header of {hlen} bytes runs past the end of the file",
+                          offset=8)
+    try:
+        header = json.loads(blob[12:base].decode("utf-8"))
+        cfg = ModelConfig.from_dict(header["config"])
+        entries = [(e["name"], [int(n) for n in e["shape"]], np.dtype(e["dtype"]),
+                    int(e["offset"]), int(e["nbytes"])) for e in header["tensors"]]
+        step = int(header["step"])
+    except (ValueError, KeyError, TypeError) as e:   # also bad JSON/UTF-8 and ConfigError
+        raise FormatError(f"{path}: malformed checkpoint header: {e!r}", offset=12)
+    payload = len(blob) - base
     params = {}
     opt_m, opt_v = {}, {}
-    for e in header["tensors"]:
-        raw = blob[base + e["offset"]: base + e["offset"] + e["nbytes"]]
-        arr = np.frombuffer(raw, dtype=np.dtype(e["dtype"]).newbyteorder("<"))
-        arr = arr.reshape(e["shape"]).astype(e["dtype"])
-        name = e["name"]
+    for name, shape, dtype, offset, nbytes in entries:
+        if min(offset, nbytes) < 0 or offset + nbytes > payload:
+            raise FormatError(f"{path}: tensor {name!r} bytes [{offset}, {offset + nbytes}) "
+                              f"run past the {payload}-byte payload", offset=base)
+        if min(shape, default=0) < 0 or nbytes != math.prod(shape) * dtype.itemsize:
+            raise FormatError(f"{path}: tensor {name!r} holds {nbytes} bytes, not shape "
+                              f"{shape} of {dtype.name}", offset=base + offset)
+        raw = blob[base + offset: base + offset + nbytes]
+        arr = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).reshape(shape).astype(dtype)
         if name.startswith("__opt_m__/"):
             opt_m[name[len("__opt_m__/"):]] = arr
         elif name.startswith("__opt_v__/"):
@@ -490,5 +539,4 @@ def load_checkpoint(path) -> Checkpoint:
     opt_state = None
     if "opt_t" in header:
         opt_state = {"t": header["opt_t"], "m": opt_m, "v": opt_v}
-    return Checkpoint(ModelConfig.from_dict(header["config"]), params,
-                      step=header["step"], opt_state=opt_state)
+    return Checkpoint(cfg, params, step=step, opt_state=opt_state)

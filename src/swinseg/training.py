@@ -17,7 +17,8 @@ from scipy.ndimage import map_coordinates
 from . import autodiff as ad
 from .autodiff import Tensor
 from .lossmetrics import OneHotTarget, soft_dice_loss
-from .model import Checkpoint, ModelConfig, SwinSegModel, predict_labels, save_checkpoint
+from .model import (Checkpoint, ModelConfig, SwinSegModel, check_keys, predict_labels,
+                    save_checkpoint)
 from .postprocess import keep_largest_per_label
 from .preprocess import zscore
 from .volio import CaseEntry, DatasetManifest, LabelMap, Volume, read_mvol, write_mvol
@@ -75,7 +76,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
+        d = dict(check_keys(cls, d))
         if "betas" in d:
             d["betas"] = tuple(d["betas"])
         return cls(**d)

@@ -16,7 +16,8 @@ import pytest
 from swinseg import autodiff as ad
 from swinseg.autodiff import Tensor
 from swinseg.lossmetrics import DICE_EPS, OneHotTarget, dsc, nsd, soft_dice_loss
-from swinseg.model import Checkpoint, ModelConfig, SwinSegModel, load_checkpoint, save_checkpoint
+from swinseg.model import (Checkpoint, ModelConfig, SwinSegModel, load_checkpoint,
+                           save_checkpoint, upsample)
 from swinseg.postprocess import connected_components_3d, keep_largest_per_label
 from swinseg.preprocess import crop_nonzero, embed, resample, zscore
 from swinseg.volio import LabelMap, Volume, load_manifest, read_mvol
@@ -105,9 +106,9 @@ def test_gradient_suite():
     a, b = t((3, 4)), t((4, 5))
     fd_check(lambda: ad.matmul(a, b), [a, b])
     cx, cw, cb = t((2, 6, 6, 6)), t((3, 2, 3, 3, 3)), t((3,))
-    fd_check(lambda: ad.conv3d(cx, cw, cb, stride=1, padding=1), [cx, cw, cb])
+    fd_check(lambda: ad.conv3d(cx, cw, cb, padding=1), [cx, cw, cb])
     dw, db = t((3, 2, 2, 2, 2)), t((3,))
-    fd_check(lambda: ad.conv_transpose3d(cx, dw, db, stride=2), [cx, dw, db])
+    fd_check(lambda: upsample(cx, dw, db), [cx, dw, db])
     nx, ng, nb = t((3, 4, 4, 4)), t((3,)), t((3,))
     fd_check(lambda: ad.instance_norm(nx, ng, nb), [nx, ng, nb])
     lx, lg, lb = t((5, 6)), t((6,)), t((6,))

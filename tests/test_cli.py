@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from swinseg.volio import load_manifest, read_mvol
+from swinseg.model import Checkpoint, ModelConfig, SwinSegModel, save_checkpoint
+from swinseg.volio import LabelMap, Volume, load_manifest, read_mvol, write_mvol
 
 
 def segctl(*args, **kw):
@@ -73,6 +74,39 @@ class TestDataErrors:
         r = segctl("train", "--data", tiny_data / "manifest.json",
                    "--out", tmp_path, "--config", cfg, "--steps", 1)
         assert r.returncode == 3
+
+    @pytest.mark.parametrize("section,key", [({"train": {"stepz": 3}}, "stepz"),
+                                             ({"model": {"embedz": 3}}, "embedz")])
+    def test_unknown_config_key(self, tiny_data, tmp_path, section, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(section))
+        r = segctl("train", "--data", tiny_data / "manifest.json",
+                   "--out", tmp_path, "--config", cfg, "--steps", 1)
+        assert r.returncode == 3, r.stderr
+        assert key in r.stderr
+
+    @pytest.mark.parametrize("fault", ["truncated", "bad_magic"])
+    def test_corrupt_checkpoint(self, tmp_path, fault):
+        cfg = ModelConfig(num_classes=2, embed_dim=8, depths=[1, 1], heads=[2, 2])
+        ck = tmp_path / "m.mckp"
+        save_checkpoint(Checkpoint.from_model(SwinSegModel(cfg, seed=0)), ck)
+        blob = ck.read_bytes()
+        ck.write_bytes(blob[:-1001] if fault == "truncated" else b"X" + blob[1:])
+        write_mvol(Volume(np.zeros((16, 16, 16), np.float32), (1, 1, 1)), tmp_path / "in.mvol")
+        r = segctl("infer", "--ckpt", ck, "--in", tmp_path / "in.mvol",
+                   "--out", tmp_path / "out.mvol", "--patch", 16)
+        assert r.returncode == 4, r.stderr
+
+    @pytest.mark.parametrize("other", [dict(dims=(8, 8, 9)), dict(spacing=(2, 1, 1))])
+    def test_evaluate_mismatched_pair(self, tmp_path, other):
+        def label_dir(name, dims=(8, 8, 8), spacing=(1, 1, 1)):
+            d = tmp_path / name
+            d.mkdir()
+            write_mvol(LabelMap(np.zeros(dims, np.uint8), spacing, 1), d / "c.mvol")
+            return d
+        r = segctl("evaluate", "--pred", label_dir("pred", **other), "--gt", label_dir("gt"),
+                   "--report", tmp_path / "rep.json")
+        assert r.returncode == 4, r.stderr
 
 
 class TestPhantom:

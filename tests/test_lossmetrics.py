@@ -8,7 +8,7 @@ from swinseg.lossmetrics import (
     DICE_EPS, OneHotTarget, dsc, evaluate_pair, extract_surface, nsd,
     soft_dice_loss,
 )
-from swinseg.volio import LabelMap
+from swinseg.volio import LabelMap, ValidationError
 from conftest import rel_err
 
 
@@ -260,6 +260,19 @@ class TestNsd:
             nsd(a, b, 1)
         with pytest.raises(ValueError, match="tau"):
             nsd(a, a, 1, 0.0)
+
+    def test_mismatched_pair_is_data_error(self):
+        # a pred/ref mismatch is bad data; a non-positive tau is a bad setting
+        a = labelmap(np.zeros((3, 3, 3), np.uint8), 1)
+        b = labelmap(np.zeros((3, 3, 4), np.uint8), 1)
+        c = labelmap(np.zeros((3, 3, 3), np.uint8), 1, spacing=(2, 1, 1))
+        for call, match in [(lambda: dsc(a, b, 1), "dims"), (lambda: nsd(a, b, 1), "dims"),
+                            (lambda: nsd(a, c, 1), "spacing")]:
+            with pytest.raises(ValidationError, match=match):
+                call()
+        with pytest.raises(ValueError) as err:
+            nsd(a, a, 1, 0.0)
+        assert not isinstance(err.value, ValidationError)
 
     def test_monotone_in_tau_100_pairs(self):
         """NSD is non-decreasing in the tolerance over 100 random mask pairs."""

@@ -1,15 +1,21 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from swinseg import autodiff as ad
-from swinseg.autodiff import Tensor
+from swinseg.autodiff import ShapeError, Tensor
 from swinseg.model import (
     MASK_NEG, Checkpoint, ConfigError, ModelConfig, SwinSegModel,
-    build_shift_mask, cyclic_shift, load_checkpoint, predict_labels,
-    save_checkpoint, window_partition, window_reverse,
+    build_shift_mask, cyclic_shift, depth_to_space, load_checkpoint, patch_embed,
+    predict_labels, save_checkpoint, space_to_depth, upsample, window_partition,
+    window_reverse,
 )
-from conftest import rel_err
+from swinseg.volio import FormatError
+from conftest import grad_check, rel_err
+from test_autodiff import t64
 
 
 def small_cfg(**kw):
@@ -33,6 +39,10 @@ class TestConfig:
         cfg = small_cfg()
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_unknown_keys_named(self):
+        with pytest.raises(ConfigError, match="embedz, zzz"):
+            ModelConfig.from_dict({"num_classes": 2, "zzz": 1, "embedz": 3})
+
 
 class TestWindowOps:
     @settings(max_examples=40, deadline=None)
@@ -55,6 +65,15 @@ class TestWindowOps:
         assert padded == (4, 2, 2)
         np.testing.assert_array_equal(win.data[0, :, 0], np.arange(8))
         np.testing.assert_array_equal(win.data[1, :, 0], np.arange(8, 16))
+
+    def test_space_to_depth_order_and_inverse(self, rng):
+        # one 2^3 block: features concatenated in (d, h, w, c) order
+        x = t64(np.arange(16).reshape(2, 2, 2, 2), rg=False)
+        np.testing.assert_array_equal(space_to_depth(x, 2).data, x.data.reshape(1, 1, 1, 16))
+        y = t64(rng.normal(size=(4, 6, 2, 3)), rg=False)
+        s = space_to_depth(y, 2)
+        assert s.shape == (2, 3, 1, 24)
+        np.testing.assert_array_equal(depth_to_space(s, 2).data, y.data)
 
     def test_cyclic_shift_matches_roll(self, rng):
         x = rng.normal(size=(5, 6, 7, 2))
@@ -272,6 +291,97 @@ class TestBlocksAndStages:
         assert probs.data.min() >= 0 and probs.data.max() <= 1
 
 
+def embed_oracle(x, w, b):
+    """The strided-conv formula written out: token (i, j, k) is the einsum of
+    w with the zero-padded p^3 input block at (i, j, k), plus the bias."""
+    c, _, p = w.shape[:3]
+    xp = np.pad(x, [(0, 0)] + [(0, (-n) % p) for n in x.shape[1:]])
+    dims = tuple(n // p for n in xp.shape[1:])
+    out = np.zeros(dims + (c,))
+    for i, j, k in np.ndindex(*dims):
+        blk = xp[:, i * p:(i + 1) * p, j * p:(j + 1) * p, k * p:(k + 1) * p]
+        out[i, j, k] = np.einsum("oiabc,iabc->o", w, blk) + b
+    return out
+
+
+def upsample_oracle(x, w, b):
+    """The transposed-conv formula written out: every input voxel scatters
+    w, weighted by its features, into its k^3 output block."""
+    cout, _, k = w.shape[:3]
+    _, d, h, wd = x.shape
+    out = np.zeros((cout, k * d, k * h, k * wd)) + b[:, None, None, None]
+    for i, j, l in np.ndindex(d, h, wd):
+        out[:, i * k:(i + 1) * k, j * k:(j + 1) * k, l * k:(l + 1) * k] += \
+            np.einsum("oiabc,i->oabc", w, x[:, i, j, l])
+    return out
+
+
+class TestPatchEmbed:
+    def test_halves_extent(self):
+        w = t64(np.zeros((2, 1, 2, 2, 2)), rg=False)
+        b = t64(np.zeros(2), rg=False)
+        assert patch_embed(t64(np.zeros((1, 4, 4, 4)), rg=False), w, b).shape == (2, 2, 2, 2)
+        # non-multiple extents are zero-padded up
+        assert patch_embed(t64(np.zeros((1, 5, 4, 3)), rg=False), w, b).shape == (3, 2, 2, 2)
+
+    def test_matches_strided_conv_oracle(self, rng):
+        for p in (2, 3):
+            x = rng.normal(size=(2, 5, 6, 3))
+            w = rng.normal(size=(3, 2, p, p, p))
+            b = rng.normal(size=3)
+            got = patch_embed(t64(x, rg=False), t64(w, rg=False), t64(b, rg=False)).data
+            assert np.abs(got - embed_oracle(x, w, b)).max() <= 1e-12
+
+    def test_channel_mismatch(self):
+        w = t64(np.zeros((2, 2, 2, 2, 2)), rg=False)
+        with pytest.raises(ShapeError):
+            patch_embed(t64(np.zeros((3, 4, 4, 4)), rg=False), w, t64(np.zeros(2), rg=False))
+
+    def test_grad(self, rng):
+        x = t64(rng.normal(size=(2, 4, 4, 3)))
+        w = t64(rng.normal(size=(3, 2, 2, 2, 2)))
+        b = t64(rng.normal(size=3))
+        grad_check(lambda: ad.reduce_sum(ad.sigmoid(patch_embed(x, w, b))),
+                   [x, w, b], samples=20, rng=rng)
+
+
+class TestUpsample:
+    def test_doubles_extent(self, rng):
+        x = t64(rng.normal(size=(2, 8, 8, 8)), rg=False)
+        w = t64(rng.normal(size=(3, 2, 2, 2, 2)), rg=False)
+        assert upsample(x, w, t64(np.zeros(3), rg=False)).shape == (3, 16, 16, 16)
+
+    def test_delta_scatter(self):
+        x = np.zeros((1, 2, 2, 2))
+        x[0, 0, 0, 0] = 1.0
+        w = t64(np.ones((1, 1, 2, 2, 2)), rg=False)
+        out = upsample(t64(x, rg=False), w, t64(np.zeros(1), rg=False))
+        expect = np.zeros((1, 4, 4, 4))
+        expect[0, :2, :2, :2] = 1.0
+        np.testing.assert_array_equal(out.data, expect)
+
+    def test_matches_transposed_conv_oracle(self, rng):
+        for k in (2, 3):
+            x = rng.normal(size=(2, 3, 4, 2))
+            w = rng.normal(size=(3, 2, k, k, k))
+            b = rng.normal(size=3)
+            got = upsample(t64(x, rg=False), t64(w, rg=False), t64(b, rg=False)).data
+            assert np.abs(got - upsample_oracle(x, w, b)).max() <= 1e-12
+
+    def test_channel_mismatch(self):
+        x = t64(np.zeros((2, 4, 4, 4)), rg=False)
+        w = t64(np.zeros((1, 3, 2, 2, 2)), rg=False)
+        with pytest.raises(ShapeError):
+            upsample(x, w, t64(np.zeros(1), rg=False))
+
+    def test_grad(self, rng):
+        x = t64(rng.normal(size=(2, 3, 3, 3)))
+        w = t64(rng.normal(size=(2, 2, 2, 2, 2)))
+        b = t64(rng.normal(size=2))
+        grad_check(lambda: ad.reduce_sum(ad.sigmoid(upsample(x, w, b))),
+                   [x, w, b], samples=20, rng=rng)
+
+
 class TestFullModelGradients:
     def test_toy_model_fd_gradcheck(self, rng):
         """Finite-difference check of d(mean sigmoid output)/d(theta) for a
@@ -358,6 +468,33 @@ class TestCheckpoint:
         save_checkpoint(ck, tmp_path / "a.mckp")
         save_checkpoint(ck, tmp_path / "b.mckp")
         assert (tmp_path / "a.mckp").read_bytes() == (tmp_path / "b.mckp").read_bytes()
+
+    @pytest.mark.parametrize("fault", ["too_short", "bad_magic", "header_past_end",
+                                       "header_not_json", "tensor_past_payload",
+                                       "nbytes_mismatch"])
+    def test_malformed_raises_format_error(self, tmp_path, fault):
+        path = tmp_path / "m.mckp"
+        save_checkpoint(Checkpoint.from_model(SwinSegModel(small_cfg(), seed=2)), path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        if fault == "too_short":
+            blob = blob[:10]
+        elif fault == "bad_magic":
+            blob = b"X" + blob[1:]
+        elif fault == "header_past_end":
+            blob = blob[:8] + struct.pack("<I", len(blob)) + blob[12:]
+        elif fault == "header_not_json":
+            blob = blob[:12] + b"\xff" + blob[13:]
+        elif fault == "tensor_past_payload":
+            blob = blob[:-1001]
+        else:
+            header["tensors"][0]["nbytes"] -= 4
+            hj = json.dumps(header).encode()
+            blob = blob[:8] + struct.pack("<I", len(hj)) + hj + blob[12 + hlen:]
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
 
     def test_init_is_seed_deterministic(self):
         cfg = small_cfg()

@@ -6,7 +6,7 @@ import pytest
 from swinseg import autodiff as ad
 from swinseg.autodiff import Tensor
 from swinseg.lossmetrics import OneHotTarget, soft_dice_loss
-from swinseg.model import Checkpoint, ModelConfig, SwinSegModel
+from swinseg.model import Checkpoint, ConfigError, ModelConfig, SwinSegModel
 from swinseg.phantom import PhantomConfig, build_dataset
 from swinseg.training import (
     OptimizerState, TrainConfig, TrainingError, adamw_step, apply_rigid,
@@ -27,6 +27,16 @@ def dataset(tmp_path_factory):
     cfg = PhantomConfig(dims=(32, 32, 32), num_classes=3, seed=21)
     man = build_dataset(2, 1, 1, cfg, out, partial_prob=0.5)
     return man
+
+
+class TestTrainConfig:
+    def test_from_dict_roundtrip(self):
+        cfg = TrainConfig(steps=7, betas=(0.8, 0.9))
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_unknown_keys_named(self):
+        with pytest.raises(ConfigError, match="stepz"):
+            TrainConfig.from_dict({"steps": 3, "stepz": 3})
 
 
 class TestAdamW:
