@@ -109,13 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_run_config(path, args):
     """Merge config file sections with CLI flag overrides."""
-    from .model import ModelConfig
+    from .model import ConfigError, ModelConfig
     from .training import TrainConfig
 
     raw = {}
     if path is not None:
         with open(path) as f:
             raw = json.load(f)
+    if not (isinstance(raw, dict)
+            and all(isinstance(raw.get(k, {}), dict) for k in ("model", "train"))):
+        raise ConfigError(f"{path}: run config must be a JSON object whose 'model' and "
+                          "'train' sections are objects")
     mdl = dict(raw.get("model", {}))
     trn = dict(raw.get("train", {}))
     for key, attr in (("steps", "steps"), ("patch", "patch_size"),
@@ -129,11 +133,10 @@ def _load_run_config(path, args):
 
 
 def _write_run_config(out_dir, model_cfg, tcfg):
+    from .volio import write_json
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w") as f:
-        json.dump({"model": model_cfg.to_dict(), "train": tcfg.to_dict()},
-                  f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(out_dir, "config.json"),
+               {"model": model_cfg.to_dict(), "train": tcfg.to_dict()})
 
 
 def _jsonl_logger(path):
@@ -259,7 +262,7 @@ def cmd_postprocess(args):
 
 def cmd_evaluate(args):
     from .lossmetrics import evaluate_pair
-    from .volio import read_mvol
+    from .volio import read_mvol, write_json
     names = sorted(n for n in os.listdir(args.gt) if n.endswith(".mvol"))
     if not names:
         raise FileNotFoundError(f"no .mvol label files in {args.gt}")
@@ -277,9 +280,7 @@ def cmd_evaluate(args):
         "mean_nsd": sum(r.mean_nsd for r in reports) / len(reports),
         "tau_mm": args.nsd_tol,
     }
-    with open(args.report, "w") as f:
-        json.dump(agg, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(args.report, agg)
     print(f"mean_dsc={agg['mean_dsc']:.4f} mean_nsd={agg['mean_nsd']:.4f} -> {args.report}")
 
 
@@ -301,24 +302,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)  # exits 2 on usage errors
 
-    from .model import ConfigError
-    from .phantom import GenerationError
-    from .training import TrainingError
     from .volio import FormatError, ValidationError
 
     try:
         COMMANDS[args.command](args)
         return 0
-    except (ConfigError, ValueError) as e:
-        if isinstance(e, (FormatError, ValidationError)):
-            print(f"error: data: {e}", file=sys.stderr)
-            return EXIT_DATA
-        print(f"error: config: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, FormatError, ValidationError, OSError) as e:
+    except (FormatError, ValidationError, OSError) as e:
         print(f"error: data: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingError, GenerationError, Exception) as e:  # noqa: BLE001
+    except ValueError as e:   # ConfigError and other bad settings
+        print(f"error: config: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except Exception as e:  # noqa: BLE001
         print(f"error: runtime: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

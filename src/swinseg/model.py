@@ -11,16 +11,14 @@ use ``space_to_depth``, the decoder's up-sampling ``depth_to_space``.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .volio import FormatError, LabelMap
+from .volio import FormatError, LabelMap, read_container, write_container
 
 CKPT_MAGIC = b"MCKP0001"
 MASK_NEG = -1e9
@@ -43,12 +41,17 @@ class ModelConfig:
     use_rel_pos_bias: bool = True
 
     def __post_init__(self):
-        if self.num_classes < 1 or self.embed_dim < 1 or self.patch_size < 1:
-            raise ConfigError("num_classes, embed_dim, patch_size must be positive")
+        if min(self.num_classes, self.in_channels, self.embed_dim, self.patch_size) < 1:
+            raise ConfigError("num_classes, in_channels, embed_dim, patch_size must be positive")
+        if not (math.isfinite(self.mlp_ratio) and self.mlp_ratio * self.embed_dim >= 1):
+            raise ConfigError(f"mlp_ratio {self.mlp_ratio} gives an empty or unbounded MLP "
+                              f"at embed_dim {self.embed_dim}")
         if self.window < 2:
             raise ConfigError(f"window must be >= 2, got {self.window}")
         if len(self.depths) != len(self.heads):
             raise ConfigError("depths and heads must have the same length")
+        if any(n < 1 for n in (*self.depths, *self.heads)):
+            raise ConfigError(f"depths {self.depths} and heads {self.heads} must all be >= 1")
         for i, h in enumerate(self.heads):
             if (self.embed_dim * 2 ** i) % h != 0:
                 raise ConfigError(
@@ -487,48 +490,44 @@ def save_checkpoint(ckpt: Checkpoint, path):
             push(f"__opt_m__/{name}", ckpt.opt_state["m"][name])
         for name in sorted(ckpt.opt_state["v"]):
             push(f"__opt_v__/{name}", ckpt.opt_state["v"][name])
-        header["tensors"] = entries
-    hj = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", len(hj)))
-        f.write(hj)
-        for b in blobs:
-            f.write(b)
+    write_container(path, CKPT_MAGIC, header, blobs)
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a ``.mckp``; a malformed file raises ``FormatError``."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 12:
-        raise FormatError(f"{path}: too short for checkpoint magic + header length", offset=0)
-    if blob[:8] != CKPT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic {blob[:8]!r}", offset=0)
-    (hlen,) = struct.unpack("<I", blob[8:12])
-    base = 12 + hlen
-    if len(blob) < base:
-        raise FormatError(f"{path}: header of {hlen} bytes runs past the end of the file",
-                          offset=8)
+    header, payload, base = read_container(path, CKPT_MAGIC)
     try:
-        header = json.loads(blob[12:base].decode("utf-8"))
         cfg = ModelConfig.from_dict(header["config"])
-        entries = [(e["name"], [int(n) for n in e["shape"]], np.dtype(e["dtype"]),
+        entries = [(str(e["name"]), [int(n) for n in e["shape"]], e["dtype"],
                     int(e["offset"]), int(e["nbytes"])) for e in header["tensors"]]
         step = int(header["step"])
-    except (ValueError, KeyError, TypeError) as e:   # also bad JSON/UTF-8 and ConfigError
+        opt_t = int(header["opt_t"]) if "opt_t" in header else None
+        shapes = {k: list(t.shape) for k, t in SwinSegModel(cfg).params.items()}
+    except (ValueError, KeyError, TypeError) as e:   # also ConfigError
         raise FormatError(f"{path}: malformed checkpoint header: {e!r}", offset=12)
-    payload = len(blob) - base
+    if opt_t is not None:
+        shapes.update({f"{pre}{k}": v for pre in ("__opt_m__/", "__opt_v__/")
+                       for k, v in list(shapes.items())})
+    names = [e[0] for e in entries]
+    if len(set(names)) != len(names) or set(names) != set(shapes):
+        dup = sorted({n for n in names if names.count(n) > 1})
+        raise FormatError(f"{path}: tensor table does not match the model: missing "
+                          f"{sorted(set(shapes) - set(names))}, unexpected "
+                          f"{sorted(set(names) - set(shapes))}, repeated {dup}", offset=12)
     params = {}
     opt_m, opt_v = {}, {}
     for name, shape, dtype, offset, nbytes in entries:
-        if min(offset, nbytes) < 0 or offset + nbytes > payload:
+        if shape != shapes[name] or dtype not in ("float32", "float64"):
+            raise FormatError(f"{path}: tensor {name!r} is {dtype} {shape}, the model needs "
+                              f"float32 or float64 {shapes[name]}", offset=12)
+        dtype = np.dtype(dtype)
+        if min(offset, nbytes) < 0 or offset + nbytes > len(payload):
             raise FormatError(f"{path}: tensor {name!r} bytes [{offset}, {offset + nbytes}) "
-                              f"run past the {payload}-byte payload", offset=base)
-        if min(shape, default=0) < 0 or nbytes != math.prod(shape) * dtype.itemsize:
+                              f"run past the {len(payload)}-byte payload", offset=base)
+        if nbytes != math.prod(shape) * dtype.itemsize:
             raise FormatError(f"{path}: tensor {name!r} holds {nbytes} bytes, not shape "
                               f"{shape} of {dtype.name}", offset=base + offset)
-        raw = blob[base + offset: base + offset + nbytes]
+        raw = payload[offset: offset + nbytes]
         arr = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).reshape(shape).astype(dtype)
         if name.startswith("__opt_m__/"):
             opt_m[name[len("__opt_m__/"):]] = arr
@@ -537,6 +536,6 @@ def load_checkpoint(path) -> Checkpoint:
         else:
             params[name] = arr
     opt_state = None
-    if "opt_t" in header:
-        opt_state = {"t": header["opt_t"], "m": opt_m, "v": opt_v}
+    if opt_t is not None:
+        opt_state = {"t": opt_t, "m": opt_m, "v": opt_v}
     return Checkpoint(cfg, params, step=step, opt_state=opt_state)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -47,6 +50,17 @@ def grad_check(f, params, h=1e-4, tol=1e-5, rng=None, samples=None):
             worst = max(worst, rel_err(analytic[id(p)][i], v))
     assert worst <= tol, f"gradient mismatch: worst relative error {worst}"
     return worst
+
+
+def edit_header(path, edit):
+    """Apply ``edit`` to the JSON header of the container file at ``path`` (an
+    ``.mvol`` or ``.mckp``) and write the file back re-framed, payload unchanged."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    edit(header)
+    hj = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(hj)) + hj + blob[12 + hlen:])
 
 
 @pytest.fixture

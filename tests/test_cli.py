@@ -7,6 +7,14 @@ import pytest
 
 from swinseg.model import Checkpoint, ModelConfig, SwinSegModel, save_checkpoint
 from swinseg.volio import LabelMap, Volume, load_manifest, read_mvol, write_mvol
+from conftest import edit_header
+from test_model import TABLE_FAULTS
+from test_volio import BAD_LABEL_HEADERS, BAD_MANIFESTS, mvol_bytes
+
+
+# a config that trains on tiny_data; the run-config tests break one field of it
+TINY_MODEL = {"num_classes": 3, "embed_dim": 8, "depths": [1], "heads": [2]}
+TINY_TRAIN = {"patch_size": 16, "batch_size": 1}
 
 
 def segctl(*args, **kw):
@@ -67,6 +75,21 @@ class TestDataErrors:
         r = segctl("postprocess", "--in", bad, "--out", tmp_path / "o.mvol")
         assert r.returncode == 4
 
+    @pytest.mark.parametrize("fault", ["no_spacing", "header_list", "dims_negative",
+                                       "dims_not_int", "spacing_str", "available_str"])
+    def test_malformed_mvol_header(self, tmp_path, fault):
+        bad = tmp_path / "bad.mvol"
+        bad.write_bytes(mvol_bytes(BAD_LABEL_HEADERS[fault], bytes([1, 2])))
+        r = segctl("postprocess", "--in", bad, "--out", tmp_path / "o.mvol")
+        assert r.returncode == 4, r.stderr
+
+    @pytest.mark.parametrize("fault", BAD_MANIFESTS)
+    def test_malformed_manifest(self, tmp_path, fault):
+        mp = tmp_path / "manifest.json"
+        mp.write_text(BAD_MANIFESTS[fault])
+        r = segctl("train", "--data", mp, "--out", tmp_path / "run")
+        assert r.returncode == 4, r.stderr
+
     def test_config_error(self, tiny_data, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": {"num_classes": 3, "embed_dim": 7,
@@ -85,13 +108,30 @@ class TestDataErrors:
         assert r.returncode == 3, r.stderr
         assert key in r.stderr
 
-    @pytest.mark.parametrize("fault", ["truncated", "bad_magic"])
+    @pytest.mark.parametrize("cfg", [
+        {"model": {**TINY_MODEL, "heads": [0]}, "train": TINY_TRAIN},
+        {"model": {**TINY_MODEL, "depths": [-1]}, "train": TINY_TRAIN},
+        {"model": {**TINY_MODEL, "in_channels": 0}, "train": TINY_TRAIN},
+        {"model": 5, "train": TINY_TRAIN},
+        [],
+    ], ids=["heads_0", "depths_negative", "in_channels_0", "model_not_object", "list"])
+    def test_malformed_run_config(self, tiny_data, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        r = segctl("train", "--data", tiny_data / "manifest.json",
+                   "--out", tmp_path / "run", "--config", path, "--steps", 1)
+        assert r.returncode == 3, r.stderr
+
+    @pytest.mark.parametrize("fault", ["truncated", "bad_magic", *TABLE_FAULTS])
     def test_corrupt_checkpoint(self, tmp_path, fault):
         cfg = ModelConfig(num_classes=2, embed_dim=8, depths=[1, 1], heads=[2, 2])
         ck = tmp_path / "m.mckp"
         save_checkpoint(Checkpoint.from_model(SwinSegModel(cfg, seed=0)), ck)
-        blob = ck.read_bytes()
-        ck.write_bytes(blob[:-1001] if fault == "truncated" else b"X" + blob[1:])
+        if fault in TABLE_FAULTS:
+            edit_header(ck, TABLE_FAULTS[fault])
+        else:
+            blob = ck.read_bytes()
+            ck.write_bytes(blob[:-1001] if fault == "truncated" else b"X" + blob[1:])
         write_mvol(Volume(np.zeros((16, 16, 16), np.float32), (1, 1, 1)), tmp_path / "in.mvol")
         r = segctl("infer", "--ckpt", ck, "--in", tmp_path / "in.mvol",
                    "--out", tmp_path / "out.mvol", "--patch", 16)

@@ -39,6 +39,12 @@ class TestConfig:
         cfg = small_cfg()
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("kw", [dict(heads=[0]), dict(depths=[-1]), dict(depths=[0]),
+                                    dict(in_channels=0), dict(mlp_ratio=0.0)])
+    def test_nonpositive_sizes(self, kw):
+        with pytest.raises(ConfigError):
+            ModelConfig(**{"num_classes": 2, "embed_dim": 8, "depths": [1], "heads": [2], **kw})
+
     def test_unknown_keys_named(self):
         with pytest.raises(ConfigError, match="embedz, zzz"):
             ModelConfig.from_dict({"num_classes": 2, "zzz": 1, "embedz": 3})
@@ -430,6 +436,21 @@ class TestPredictLabels:
         assert lab.available == frozenset({1, 2})
 
 
+def _doubled_bias(header):
+    t = next(e for e in header["tensors"] if e["name"].endswith(".b"))
+    t["shape"] = [2 * n for n in t["shape"]]
+    t["nbytes"] *= 2
+
+
+# checkpoint tensor tables that do not match the model the header's config builds
+TABLE_FAULTS = {
+    "dtype_u1": lambda h: h["tensors"][0].update(dtype="U1"),   # itemsize 4, as float32
+    "missing_tensor": lambda h: h["tensors"].pop(),
+    "doubled_bias": _doubled_bias,
+    "duplicate_entry": lambda h: h["tensors"].append(dict(h["tensors"][0])),
+}
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_identical(self, tmp_path, rng):
         cfg = small_cfg()
@@ -471,7 +492,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("fault", ["too_short", "bad_magic", "header_past_end",
                                        "header_not_json", "tensor_past_payload",
-                                       "nbytes_mismatch"])
+                                       "nbytes_mismatch", *TABLE_FAULTS])
     def test_malformed_raises_format_error(self, tmp_path, fault):
         path = tmp_path / "m.mckp"
         save_checkpoint(Checkpoint.from_model(SwinSegModel(small_cfg(), seed=2)), path)
@@ -489,7 +510,10 @@ class TestCheckpoint:
         elif fault == "tensor_past_payload":
             blob = blob[:-1001]
         else:
-            header["tensors"][0]["nbytes"] -= 4
+            if fault in TABLE_FAULTS:
+                TABLE_FAULTS[fault](header)
+            else:
+                header["tensors"][0]["nbytes"] -= 4
             hj = json.dumps(header).encode()
             blob = blob[:8] + struct.pack("<I", len(hj)) + hj + blob[12 + hlen:]
         path.write_bytes(blob)
