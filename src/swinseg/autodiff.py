@@ -1,9 +1,13 @@
 """Minimal dense-tensor reverse-mode autodiff on numpy buffers.
 
 Covers exactly the primitive set the segmentation network needs: batched
-matmul, a direct stride-1 3D convolution, instance and layer norm,
-softmax, a handful of pointwise ops, and the usual shape plumbing
-(reshape / permute / pad / concat / slice / reductions).  The graph is
+matmul (one GEMM when the right operand is a 2-D weight), a stride-1 3D
+convolution, instance and layer norm, softmax, a handful of pointwise ops,
+and the usual shape plumbing (reshape / permute / pad / concat / slice /
+reductions).  The convolution is k³ shifted GEMMs on the flattened padded
+input ("kn2row"), with no im2col copy: forward and grad-x are the same
+correlation (grad-x with the flipped, channel-swapped kernel on the padded
+output gradient) and grad-w is one GEMM per kernel offset.  The graph is
 tape-based: each op output keeps closures over its parents, and
 ``backward`` walks the recorded ops in reverse topological order exactly
 once.
@@ -16,6 +20,7 @@ actually meaningful.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -402,6 +407,18 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: operands must be >=2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims disagree: {a.shape} vs {b.shape}")
+    if b.ndim == 2:
+        # N-D @ 2-D is one GEMM over the flattened leading dims
+        data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
+
+        def bw2(g, grads):
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                _accum(a, (g2 @ b.data.T).reshape(a.shape), grads)
+            if b.requires_grad:
+                _accum(b, a.data.reshape(-1, a.shape[-1]).T @ g2, grads)
+
+        return Tensor._result(data, (a, b), bw2)
     try:
         data = np.matmul(a.data, b.data)
     except ValueError:
@@ -418,6 +435,39 @@ def matmul(a, b) -> Tensor:
 
 # -- convolutions -----------------------------------------------------------
 
+def _taps(xp, k, out_dims):
+    """Yield ((a, b, c), cols) for every kernel tap of a stride-1 correlation.
+
+    ``cols`` is a column range of xp:(Cin,Dp,Hp,Wp) flattened to (Cin, Dp·Hp·Wp):
+    column i of the output on the padded grid, i = (d·Hp + h)·Wp + w, meets
+    input column i + (a·Hp + b)·Wp + c.  The range spans the outputs out_dims
+    covers; its columns with h >= H' or w >= W' wrap into the next row and
+    are junk.
+    """
+    D, H, W = out_dims
+    Hp, Wp = xp.shape[2:]
+    n = ((D - 1) * Hp + H - 1) * Wp + W
+    xf = xp.reshape(xp.shape[0], -1)
+    for a, b, c in itertools.product(range(k), repeat=3):
+        o = (a * Hp + b) * Wp + c
+        yield (a, b, c), xf[:, o:o + n]
+
+
+def _correlate(xp, w):
+    """Valid stride-1 cross-correlation of xp:(Cin,Dp,Hp,Wp) with w:(Cout,Cin,k,k,k).
+
+    k³ GEMMs, one per tap, accumulated on the padded grid and then cropped;
+    no im2col matrix is built.
+    """
+    cout, k = w.shape[0], w.shape[2]
+    Hp, Wp = xp.shape[2:]
+    D, H, W = (s - k + 1 for s in xp.shape[1:])
+    acc = np.zeros((cout, D * Hp * Wp), dtype=np.result_type(xp, w))
+    for (a, b, c), cols in _taps(xp, k, (D, H, W)):
+        acc[:, :cols.shape[1]] += w[:, :, a, b, c] @ cols
+    return np.ascontiguousarray(acc.reshape(cout, D, Hp, Wp)[:, :, :H, :W])
+
+
 def conv3d(x, w, b=None, padding=0) -> Tensor:
     """Stride-1 cross-correlation of x:(Cin,D,H,W) with w:(Cout,Cin,k,k,k)."""
     x, w = as_tensor(x), as_tensor(w)
@@ -430,9 +480,7 @@ def conv3d(x, w, b=None, padding=0) -> Tensor:
         raise ShapeError(f"conv3d: input {x.shape} with pad={p} is smaller than kernel k={k}")
 
     xp = np.pad(x.data, ((0, 0), (p, p), (p, p), (p, p))) if p else x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
-    out = np.tensordot(w.data, win, axes=([1, 2, 3, 4], [0, 4, 5, 6]))  # win: (Cin,D',H',W',k,k,k)
-    out = np.ascontiguousarray(out)
+    out = _correlate(xp, w.data)
     if b is not None:
         b = as_tensor(b)
         if b.shape != (w.shape[0],):
@@ -442,19 +490,22 @@ def conv3d(x, w, b=None, padding=0) -> Tensor:
 
     def bw(g, grads):
         if w.requires_grad:
-            gw = np.tensordot(g, win, axes=([1, 2, 3], [1, 2, 3]))  # (Cout,Cin,k,k,k)
+            # g on the padded grid of xp, zero in the junk columns
+            cout, (D, H, W), (Hp, Wp) = g.shape[0], g.shape[1:], xp.shape[2:]
+            gf = np.zeros((cout, D, Hp, Wp), dtype=g.dtype)
+            gf[:, :, :H, :W] = g
+            gf = gf.reshape(cout, -1)
+            gw = np.empty(w.shape, dtype=g.dtype)
+            for (a, b_, c), cols in _taps(xp, k, (D, H, W)):
+                gw[:, :, a, b_, c] = gf[:, :cols.shape[1]] @ cols.T
             _accum(w, gw, grads)
         if x.requires_grad:
-            gxp = np.zeros(xp.shape, dtype=g.dtype)
-            Dp, Hp, Wp = g.shape[1:]
-            for a_ in range(k):
-                for b_ in range(k):
-                    for c_ in range(k):
-                        piece = np.tensordot(w.data[:, :, a_, b_, c_], g, axes=([0], [0]))
-                        gxp[:, a_:a_ + Dp, b_:b_ + Hp, c_:c_ + Wp] += piece
-            if p:
-                gxp = gxp[:, p:-p, p:-p, p:-p]
-            _accum(x, gxp, grads)
+            # full correlation: g padded by k-1-p (cropped when p > k-1) with
+            # the flipped, channel-swapped kernel
+            q = k - 1 - p
+            gq = np.pad(g, ((0, 0),) + ((q, q),) * 3) if q >= 0 else g[:, -q:q, -q:q, -q:q]
+            wf = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+            _accum(x, _correlate(gq, wf), grads)
         if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=(1, 2, 3)), grads)
 

@@ -151,6 +151,8 @@ def evaluate_pair(pred: LabelMap, ref: LabelMap, case_id: str = "",
     """DSC/NSD for every evaluated foreground class of a prediction/reference pair."""
     if classes is None:
         classes = sorted(ref.available) if ref.available else list(range(1, ref.num_classes + 1))
+    if not classes:
+        raise ValidationError(f"evaluate_pair: {case_id or 'reference'} has no class to evaluate")
     report = SegReport(case_id, tau_mm=tau_mm)
     for c in classes:
         report.per_class[int(c)] = {

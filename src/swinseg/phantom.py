@@ -5,6 +5,7 @@ testable without clinical data."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -53,11 +54,19 @@ class PhantomConfig:
                         f"intensity means {means[i]} and {means[j]} closer than 2*noise_std={gap}")
 
 
-def _ellipsoid_mask(dims, center, semi) -> np.ndarray:
-    zz, yy, xx = np.meshgrid(*[np.arange(n) for n in dims], indexing="ij")
-    return (((zz - center[0]) / semi[0]) ** 2 +
-            ((yy - center[1]) / semi[1]) ** 2 +
-            ((xx - center[2]) / semi[2]) ** 2) <= 1.0
+def _ellipsoid_box(dims, center, semi):
+    """Rasterise an ellipsoid over its integer bounding box clipped to dims.
+
+    Returns (slices, mask): ``mask`` is the ellipsoid inside ``volume[slices]``.
+    A voxel outside the box lies at least one voxel beyond a semi-axis, so the
+    box holds every voxel the full-volume formula would select.
+    """
+    sl = tuple(slice(*np.clip([math.floor(c - s), math.ceil(c + s) + 1], 0, n))
+               for n, c, s in zip(dims, center, semi))
+    zz, yy, xx = np.meshgrid(*[np.arange(s.start, s.stop) for s in sl], indexing="ij")
+    return sl, (((zz - center[0]) / semi[0]) ** 2 +
+                ((yy - center[1]) / semi[1]) ** 2 +
+                ((xx - center[2]) / semi[2]) ** 2) <= 1.0
 
 
 def generate_phantom(cfg: PhantomConfig, rng: np.random.Generator):
@@ -68,7 +77,7 @@ def generate_phantom(cfg: PhantomConfig, rng: np.random.Generator):
     n_organs = j if j == 1 else j - 1
     occupied = np.zeros(dims, dtype=bool)
 
-    organ_masks = []
+    organ1 = None
     for organ in range(1, n_organs + 1):
         placed = False
         for attempt in range(cfg.max_retries):
@@ -87,15 +96,16 @@ def generate_phantom(cfg: PhantomConfig, rng: np.random.Generator):
             if np.any(lo >= hi):
                 continue
             center = rng.uniform(lo, hi)
-            mask = _ellipsoid_mask(dims, center, semi)
+            sl, mask = _ellipsoid_box(dims, center, semi)
             if mask.sum() < 8:
                 continue
-            grown = _ellipsoid_mask(dims, center, semi + cfg.min_separation)
-            if (grown & occupied).any():
+            gsl, grown = _ellipsoid_box(dims, center, semi + cfg.min_separation)
+            if (grown & occupied[gsl]).any():
                 continue
-            labels[mask] = organ
-            occupied |= grown
-            organ_masks.append((center, semi, mask))
+            labels[sl][mask] = organ
+            occupied[gsl] |= grown
+            if organ == 1:
+                organ1 = (center, semi)
             placed = True
             break
         if not placed:
@@ -104,15 +114,16 @@ def generate_phantom(cfg: PhantomConfig, rng: np.random.Generator):
                 "reduce organ count or size")
 
     if j >= 2:
-        # tumor sphere strictly inside organ 1
-        center, semi, mask1 = organ_masks[0]
+        # tumor sphere strictly inside organ 1; placed organs never overlap, so
+        # organ 1's voxels are exactly those labelled 1
+        center, semi = organ1
         r = cfg.tumor_frac * semi.min()
         if r < 1.0:
             raise GenerationError("organ 1 too small to host a tumor sphere")
-        tumor = _ellipsoid_mask(dims, center, np.full(3, r))
-        if not (tumor <= mask1).all():
+        tsl, tumor = _ellipsoid_box(dims, center, np.full(3, r))
+        if not (labels[tsl][tumor] == 1).all():
             raise GenerationError("tumor sphere escaped organ 1")
-        labels[tumor] = j
+        labels[tsl][tumor] = j
 
     vox = rng.normal(cfg.background_mean, cfg.background_std, size=dims)
     for c in range(1, j + 1):

@@ -17,8 +17,8 @@ from scipy.ndimage import map_coordinates
 from . import autodiff as ad
 from .autodiff import Tensor
 from .lossmetrics import OneHotTarget, soft_dice_loss
-from .model import (Checkpoint, ModelConfig, SwinSegModel, check_keys, predict_labels,
-                    save_checkpoint)
+from .model import (Checkpoint, ConfigError, ModelConfig, SwinSegModel, check_keys,
+                    predict_labels, save_checkpoint)
 from .postprocess import keep_largest_per_label
 from .preprocess import zscore
 from .volio import CaseEntry, DatasetManifest, LabelMap, Volume, read_mvol, write_mvol
@@ -275,6 +275,11 @@ def run_training(manifest: DatasetManifest, model_cfg: ModelConfig,
         model = SwinSegModel(model_cfg, seed=tcfg.seed)
         start_step = 0
         opt = OptimizerState.for_params(model.params)
+
+    for c in cases:
+        if c.lab.num_classes != model.cfg.num_classes:
+            raise ConfigError(f"model has {model.cfg.num_classes} classes but the label map of "
+                              f"case {c.entry.case_id} has {c.lab.num_classes}")
 
     ckpt_dir = None
     if out_dir is not None:

@@ -36,6 +36,13 @@ class TestMatmul:
         b = t64(rng.normal(size=(4, 5)))  # broadcast over batch
         grad_check(lambda: ad.reduce_sum(ad.matmul(a, b) * ad.matmul(a, b)), [a, b])
 
+    def test_nd_at_2d_grad(self, rng):
+        a = t64(rng.normal(size=(2, 3, 4, 5)))
+        b = t64(rng.normal(size=(5, 6)))
+        w = Tensor(rng.normal(size=(2, 3, 4, 6)), dtype=F64)
+        assert ad.matmul(a, b).shape == (2, 3, 4, 6)
+        grad_check(lambda: ad.reduce_sum(ad.gelu(ad.matmul(a, b)) * w), [a, b])
+
 
 class TestConv3d:
     def test_1x1_channel_scaling(self):
@@ -63,6 +70,58 @@ class TestConv3d:
         b = t64(rng.normal(size=3))
         grad_check(lambda: ad.reduce_sum(ad.sigmoid(ad.conv3d(x, w, b, padding=1))),
                    [x, w, b], samples=20, rng=rng)
+
+
+def conv3d_oracle(x, w, b, p, g):
+    """conv3d output and gradients of sum(out * g) as explicit per-offset sums."""
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0),) + ((p, p),) * 3)
+    D, H, W = (n - k + 1 for n in xp.shape[1:])
+    out = np.broadcast_to(b[:, None, None, None], (w.shape[0], D, H, W)).copy()
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for a_ in range(k):
+        for b_ in range(k):
+            for c_ in range(k):
+                sl = (slice(None), slice(a_, a_ + D), slice(b_, b_ + H), slice(c_, c_ + W))
+                wk = w[:, :, a_, b_, c_]
+                out += np.einsum("oi,idhw->odhw", wk, xp[sl])
+                gxp[sl] += np.einsum("oi,odhw->idhw", wk, g)
+                gw[:, :, a_, b_, c_] = np.einsum("odhw,idhw->oi", g, xp[sl])
+    gx = gxp[:, p:p + x.shape[1], p:p + x.shape[2], p:p + x.shape[3]]
+    return out, gx, gw, g.sum(axis=(1, 2, 3))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_conv3d_matches_oracle(rng, k, p):
+    # non-cubic input; p > k-1 crops the output gradient for grad-x
+    x = t64(rng.normal(size=(2, 5, 4, 3)))
+    w = t64(rng.normal(size=(3, 2, k, k, k)))
+    b = t64(rng.normal(size=3))
+    out = ad.conv3d(x, w, b, padding=p)
+    g = rng.normal(size=out.shape)
+    ad.backward(ad.reduce_sum(out * Tensor(g, dtype=F64)))
+    for got, want in zip((out.data, x.grad, w.grad, b.grad),
+                         conv3d_oracle(x.data, w.data, b.data, p, g)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_conv3d_float32_parity(rng):
+    # the decoder's full-resolution 3x3x3 conv (13 -> 12 channels at 32^3)
+    x = rng.normal(size=(13, 32, 32, 32))
+    w = rng.normal(size=(12, 13, 3, 3, 3)) * 0.1
+    b = rng.normal(size=12)
+    g = rng.normal(size=(12, 32, 32, 32))
+    res = {}
+    for dt in (np.float32, np.float64):
+        xt, wt, bt = (Tensor(v.astype(dt), requires_grad=True, dtype=dt) for v in (x, w, b))
+        out = ad.conv3d(xt, wt, bt, padding=1)
+        ad.backward(ad.reduce_sum(out * Tensor(g.astype(dt), dtype=dt)))
+        res[dt] = (out.data, xt.grad, wt.grad, bt.grad)
+    for lo, hi in zip(res[np.float32], res[np.float64]):
+        assert lo.dtype == np.float32
+        assert np.abs(lo - hi).max() / np.abs(hi).max() <= 1e-6
 
 
 class TestInstanceNorm:

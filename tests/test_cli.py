@@ -149,6 +149,40 @@ class TestDataErrors:
         assert r.returncode == 4, r.stderr
 
 
+    def test_evaluate_no_class(self, tmp_path):
+        # a reference with no class at all used to give a NaN mean and exit 0
+        for name in ("pred", "gt"):
+            (tmp_path / name).mkdir()
+            write_mvol(LabelMap(np.zeros((4, 4, 4), np.uint8), (1, 1, 1), 0),
+                       tmp_path / name / "c.mvol")
+        r = segctl("evaluate", "--pred", tmp_path / "pred", "--gt", tmp_path / "gt",
+                   "--report", tmp_path / "rep.json")
+        assert r.returncode == 4, r.stderr
+        assert "no class to evaluate" in r.stderr
+        assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "finetune"])
+    def test_class_count_mismatch(self, tiny_data, tmp_path, command):
+        # the model's class count (5 by default, 2 in the checkpoint) against
+        # 3-class label maps: named before the first step
+        cfg = tmp_path / "cfg.json"
+        model = {k: v for k, v in TINY_MODEL.items() if k != "num_classes"}
+        cfg.write_text(json.dumps({"model": model, "train": TINY_TRAIN}))
+        args = ["--data", tiny_data / "manifest.json", "--out", tmp_path / "run",
+                "--config", cfg, "--steps", 1]
+        want = 5
+        if command == "finetune":
+            want = 2
+            ck = tmp_path / "m.mckp"
+            mcfg = ModelConfig(**{**model, "num_classes": want})
+            save_checkpoint(Checkpoint.from_model(SwinSegModel(mcfg, seed=0)), ck)
+            args += ["--ckpt", ck]
+        r = segctl(command, *args)
+        assert r.returncode == 3, r.stderr
+        assert f"model has {want} classes" in r.stderr and "has 3" in r.stderr
+        assert not (tmp_path / "run" / "checkpoints").exists()
+
+
 class TestPhantom:
     def test_dataset_layout(self, tiny_data):
         man = load_manifest(tiny_data / "manifest.json")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from swinseg.phantom import (
-    PhantomConfig, build_dataset, generate_phantom, make_partial,
+    PhantomConfig, _ellipsoid_box, build_dataset, generate_phantom, make_partial,
 )
 from swinseg.volio import load_manifest, read_mvol
 
@@ -67,6 +67,21 @@ class TestGenerate:
         vol, lab = generate_phantom(cfg, np.random.default_rng(4))
         means = [vol.voxels[lab.labels == c].mean() for c in (1, 2, 3, 4)]
         assert all(a < b for a, b in zip(means, means[1:]))
+
+
+def test_ellipsoid_box_matches_full_volume(rng):
+    dims = (20, 17, 13)
+    zz, yy, xx = np.meshgrid(*[np.arange(n) for n in dims], indexing="ij")
+    for _ in range(200):
+        # centres may sit near or past the border, so boxes get clipped
+        center = rng.uniform(-3, np.asarray(dims) + 3)
+        semi = rng.uniform(0.3, 9.0, size=3)
+        full = (((zz - center[0]) / semi[0]) ** 2 + ((yy - center[1]) / semi[1]) ** 2 +
+                ((xx - center[2]) / semi[2]) ** 2) <= 1.0
+        sl, mask = _ellipsoid_box(dims, center, semi)
+        boxed = np.zeros(dims, dtype=bool)
+        boxed[sl] = mask
+        np.testing.assert_array_equal(boxed, full)
 
 
 class TestMakePartial:
