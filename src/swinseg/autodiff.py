@@ -101,19 +101,6 @@ class Tensor:
     def item(self):
         return self.data.item()
 
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self):
-        t = Tensor.__new__(Tensor)
-        t.data = self.data
-        t.requires_grad = False
-        t.grad = None
-        t._parents = ()
-        t._backward = None
-        t._done = False
-        return t
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -144,9 +131,6 @@ class Tensor:
 
     def __getitem__(self, idx):
         return slice_(self, idx)
-
-    def backward(self):
-        backward(self)
 
 
 def as_tensor(x, dtype=None) -> Tensor:

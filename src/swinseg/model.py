@@ -305,13 +305,6 @@ class SwinSegModel:
         self._add_resblock(rng, "dec.res0", c + cfg.in_channels, c)
         self._add_conv(rng, "head", c, cfg.num_classes + 1, 1)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
-    def set_requires_grad(self, flag: bool):
-        for t in self.params.values():
-            t.requires_grad = flag
-
     # -- building blocks -----------------------------------------------------
     def _linear(self, name, x):
         return ad.matmul(x, self.params[f"{name}.w"]) + self.params[f"{name}.b"]

@@ -1,13 +1,16 @@
-"""Training protocol: rigid augmentation, positive-biased patch sampling,
-AdamW with decoupled weight decay, soft-Dice training on partial labels,
-sliding-window inference, and pseudo-label generation for the
+"""Training protocol: positive-biased patch sampling with rigid
+augmentation (each sample warps only its patch^3 window, not the whole
+volume), AdamW with decoupled weight decay, soft-Dice training on partial
+labels, sliding-window inference, and pseudo-label generation for the
 semi-supervised fine-tuning round."""
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
+import sys
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -26,6 +29,11 @@ from .volio import CaseEntry, DatasetManifest, LabelMap, Volume, read_mvol, writ
 
 class TrainingError(RuntimeError):
     pass
+
+
+def _finite(v, kind=numbers.Real) -> bool:
+    """v is a ``kind`` number, not a bool, that a float holds finitely."""
+    return isinstance(v, kind) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 @dataclass
@@ -50,14 +58,33 @@ class TrainConfig:
     checkpoint_every: int = 0      # 0 = final only
 
     def __post_init__(self):
-        if not 0.0 <= self.pos_sample_prob <= 1.0:
-            raise ValueError("pos_sample_prob must be in [0,1]")
-        if not 0.0 <= self.overlap < 1.0:
-            raise ValueError("overlap must be in [0,1)")
+        def bad(name, want):
+            return ConfigError(f"TrainConfig.{name} must be {want}, "
+                               f"got {getattr(self, name)!r}")
+
+        for name, low in (("steps", 0), ("warmup_steps", 0), ("checkpoint_every", 0),
+                          ("trans_vox", 0), ("seed", 0), ("patch_size", 1),
+                          ("batch_size", 1)):
+            v = getattr(self, name)
+            if not (_finite(v, numbers.Integral) and v >= low):
+                raise bad(name, f"an integer >= {low}")
+        for name in ("lr", "weight_decay", "rot_deg", "adam_eps"):
+            v = getattr(self, name)
+            if not (_finite(v) and v >= 0.0):
+                raise bad(name, "a finite number >= 0")
+        if not (_finite(self.pos_sample_prob) and 0.0 <= self.pos_sample_prob <= 1.0):
+            raise bad("pos_sample_prob", "a number in [0, 1]")
+        if not (_finite(self.overlap) and 0.0 <= self.overlap < 1.0):
+            raise bad("overlap", "a number in [0, 1)")
+        if not (isinstance(self.betas, (list, tuple)) and len(self.betas) == 2
+                and all(_finite(b) and 0.0 <= b < 1.0 for b in self.betas)):
+            raise bad("betas", "two numbers in [0, 1)")
+        self.betas = tuple(self.betas)
         if self.lr_decay not in ("none", "cosine"):
-            raise ValueError(f"unknown lr_decay {self.lr_decay!r}")
-        if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be >= 0")
+            raise bad("lr_decay", "'none' or 'cosine'")
+        for name in ("augment", "normalize", "include_background"):
+            if not isinstance(getattr(self, name), bool):
+                raise bad(name, "true or false")
 
     def lr_at(self, step: int) -> float:
         """Scheduled learning rate for a 1-based step."""
@@ -76,10 +103,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(check_keys(cls, d))
-        if "betas" in d:
-            d["betas"] = tuple(d["betas"])
-        return cls(**d)
+        return cls(**check_keys(cls, d))
 
 
 @dataclass
@@ -117,39 +141,12 @@ def _rot_matrix(angles_rad):
     return r_about_z @ r_about_y @ r_about_x
 
 
-def apply_rigid(vol: Volume, lab: LabelMap | None, angles_rad, translation):
-    """Apply the same rotation-then-translation to image (trilinear) and
-    labels (nearest); out-of-field voxels become zero/background."""
-    dims = np.asarray(vol.dims)
-    r = _rot_matrix(angles_rad)
-    c = (dims - 1) / 2.0
-    t = np.asarray(translation, dtype=np.float64)
-    grid = np.stack(np.meshgrid(*[np.arange(n) for n in dims], indexing="ij"))
-    pts = grid.reshape(3, -1).astype(np.float64)
-    src = r.T @ (pts - (c + t)[:, None]) + c[:, None]
-    src = src.reshape(3, *dims)
-
-    out_v = map_coordinates(vol.voxels.astype(np.float64), src, order=1,
-                            mode="constant", cval=0.0).astype(np.float32)
-    new_vol = Volume(out_v, vol.spacing_mm)
-    new_lab = None
-    if lab is not None:
-        idx = np.rint(src).astype(np.int64)
-        inside = np.all((idx >= 0) & (idx < dims[:, None, None, None]), axis=0)
-        idxc = np.clip(idx, 0, (dims - 1)[:, None, None, None])
-        out_l = np.where(inside, lab.labels[idxc[0], idxc[1], idxc[2]], 0).astype(np.uint8)
-        new_lab = LabelMap(out_l, lab.spacing_mm, lab.num_classes, lab.available)
-    return new_vol, new_lab
-
-
-def augment(vol: Volume, lab: LabelMap | None, rng: np.random.Generator,
-            rot_deg: float = 15.0, trans_vox: int = 4):
-    """Random rigid transform, identical for image and labels."""
+def augment(rng: np.random.Generator, rot_deg: float = 15.0, trans_vox: int = 4):
+    """Draw one random rigid transform: rotation angles (radians) about the
+    three axes, then an integer translation (voxels)."""
     angles = np.deg2rad(rng.uniform(-rot_deg, rot_deg, size=3))
     trans = rng.integers(-trans_vox, trans_vox + 1, size=3)
-    if rot_deg == 0 and trans_vox == 0:
-        return vol, lab
-    return apply_rigid(vol, lab, angles, trans)
+    return angles, trans
 
 
 def class_voxels(labels: np.ndarray) -> dict[int, np.ndarray]:
@@ -161,40 +158,70 @@ def class_voxels(labels: np.ndarray) -> dict[int, np.ndarray]:
     return out
 
 
+def warp_patch(vol: Volume, lab: LabelMap | None, patch: int, origin,
+               angles_rad, translation):
+    """The patch^3 window at ``origin`` of the volume rotated about its centre
+    c and then translated by t: output voxel p samples the source at
+    R^T (p - c - t) + c, the image trilinearly and the labels by nearest
+    neighbour. Points mapped outside the source, and output points at or
+    beyond the volume's own extent (the zero padding of a volume smaller than
+    the patch), are zero/background."""
+    dims = np.asarray(vol.dims)
+    lo = np.asarray(origin)
+    ext = np.clip(dims - lo, 0, patch)
+    r = _rot_matrix(angles_rad)
+    c = (dims - 1) / 2.0
+    t = np.asarray(translation, dtype=np.float64)
+    axes = [np.arange(a, a + n, dtype=np.float64) for a, n in zip(lo, ext)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(3, -1)
+    src = (r.T @ (pts - (c + t)[:, None]) + c[:, None]).reshape(3, *ext)
+    inner = tuple(slice(0, n) for n in ext)
+
+    out_v = np.zeros((patch,) * 3, np.float32)
+    out_v[inner] = map_coordinates(vol.voxels, src, order=1, mode="constant",
+                                   cval=0.0, output=np.float32)
+    pv = Volume(out_v, vol.spacing_mm)
+    pl = None
+    if lab is not None:
+        idx = np.rint(src).astype(np.int64)
+        inside = np.all((idx >= 0) & (idx < dims[:, None, None, None]), axis=0)
+        idxc = np.clip(idx, 0, (dims - 1)[:, None, None, None])
+        out_l = np.zeros((patch,) * 3, np.uint8)
+        out_l[inner] = np.where(inside, lab.labels[idxc[0], idxc[1], idxc[2]], 0)
+        pl = LabelMap(out_l, lab.spacing_mm, lab.num_classes, lab.available)
+    return pv, pl
+
+
 def sample_patch(vol: Volume, lab: LabelMap | None, patch: int, pos_prob: float,
                  rng: np.random.Generator,
-                 fg_voxels: dict[int, np.ndarray] | None = None):
-    """Extract a patch^3 crop; with probability pos_prob the center is a
-    foreground voxel, chosen class-balanced: first a present foreground class
-    uniformly at random, then a uniform voxel of that class. Balancing keeps
-    small structures from being starved of centered patches by large ones.
-    Volumes smaller than the patch are zero-padded to the exact size."""
-    vox, labels = vol.voxels, None if lab is None else lab.labels
-    pads = [(0, max(0, patch - n)) for n in vox.shape]
-    if any(p[1] for p in pads):
-        vox = np.pad(vox, pads)
-        if labels is not None:
-            labels = np.pad(labels, pads)
-    dims = vox.shape
+                 fg_voxels: dict[int, np.ndarray] | None = None, rigid=None):
+    """A patch^3 sample of the volume under the rigid transform ``rigid``
+    (``(angles_rad, translation)`` as ``augment`` draws it; None is the
+    identity, a plain crop). With probability pos_prob the centre is a
+    foreground voxel, chosen class-balanced in the source frame: first a
+    present foreground class uniformly at random, then a uniform voxel of
+    that class, mapped forward to R (v - c) + c + t and rounded. Balancing
+    keeps small structures from being starved of centered patches by large
+    ones. Otherwise the centre is uniform over the output frame, which is the
+    volume zero-padded to at least the patch. Only the patch is warped."""
+    angles, trans = rigid if rigid is not None else ((0.0, 0.0, 0.0), (0, 0, 0))
+    dims = tuple(max(n, patch) for n in vol.dims)
 
     center = None
-    if labels is not None and pos_prob > 0 and rng.random() < pos_prob:
+    if lab is not None and pos_prob > 0 and rng.random() < pos_prob:
         if fg_voxels is None:
-            fg_voxels = class_voxels(labels)
+            fg_voxels = class_voxels(lab.labels)
         if fg_voxels:
             cls = sorted(fg_voxels)[rng.integers(len(fg_voxels))]
             vlist = fg_voxels[cls]
-            center = vlist[rng.integers(len(vlist))]
+            c = (np.asarray(vol.dims) - 1) / 2.0
+            v = vlist[rng.integers(len(vlist))]
+            center = np.rint(_rot_matrix(angles) @ (v - c) + c + trans).astype(np.int64)
     if center is None:
         center = np.array([rng.integers(n) for n in dims])
 
     lo = np.clip(center - patch // 2, 0, np.asarray(dims) - patch)
-    sl = tuple(slice(int(a), int(a) + patch) for a in lo)
-    pv = Volume(vox[sl].copy(), vol.spacing_mm)
-    pl = None
-    if lab is not None:
-        pl = LabelMap(labels[sl].copy(), lab.spacing_mm, lab.num_classes, lab.available)
-    return pv, pl
+    return warp_patch(vol, lab, patch, lo, angles, trans)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +282,11 @@ def run_training(manifest: DatasetManifest, model_cfg: ModelConfig,
                  tcfg: TrainConfig, splits=("labeled",),
                  init: Checkpoint | None = None, resume: bool = False,
                  log_fn=None, out_dir=None) -> Checkpoint:
-    """Core loop: sample case -> augment -> sample patch -> forward ->
-    availability-masked soft Dice -> backward -> AdamW. Fully deterministic
-    for a fixed (seed, manifest, configs)."""
+    """Core loop: sample case -> draw a rigid transform -> sample and warp
+    one patch -> forward -> availability-masked soft Dice -> backward ->
+    AdamW. Augmentation warps only the patch^3 window, never the whole
+    volume, and the patch centre comes from each case's foreground index,
+    built once. Fully deterministic for a fixed (seed, manifest, configs)."""
     cases = _load_cases(manifest, splits, tcfg.normalize)
     if not cases:
         raise TrainingError(f"no training cases in splits {splits}")
@@ -294,12 +323,10 @@ def run_training(manifest: DatasetManifest, model_cfg: ModelConfig,
         loss_t = None
         for _ in range(tcfg.batch_size):
             case = cases[rng.integers(len(cases))]
-            vol, lab, fg = case.vol, case.lab, case.fg
-            if tcfg.augment:
-                vol, lab = augment(vol, lab, rng, tcfg.rot_deg, tcfg.trans_vox)
-                fg = None
-            pv, pl = sample_patch(vol, lab, tcfg.patch_size, tcfg.pos_sample_prob,
-                                  rng, fg_voxels=fg)
+            rigid = augment(rng, tcfg.rot_deg, tcfg.trans_vox) if tcfg.augment else None
+            pv, pl = sample_patch(case.vol, case.lab, tcfg.patch_size,
+                                  tcfg.pos_sample_prob, rng, fg_voxels=case.fg,
+                                  rigid=rigid)
             x = Tensor(pv.voxels[None], dtype=model.dtype)
             _, probs = model.forward(x)
             target = OneHotTarget.from_labelmap(pl)

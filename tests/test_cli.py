@@ -14,7 +14,13 @@ from test_volio import BAD_LABEL_HEADERS, BAD_MANIFESTS, mvol_bytes
 
 # a config that trains on tiny_data; the run-config tests break one field of it
 TINY_MODEL = {"num_classes": 3, "embed_dim": 8, "depths": [1], "heads": [2]}
-TINY_TRAIN = {"patch_size": 16, "batch_size": 1}
+TINY_TRAIN = {"patch_size": 16, "batch_size": 1, "steps": 1}
+
+# one bad train field each, rejected by TrainConfig before the run starts
+BAD_TRAIN = {"steps_negative": {"steps": -3}, "batch_size_0": {"batch_size": 0},
+             "batch_size_float": {"batch_size": 1.5}, "lr_string": {"lr": "x"},
+             "weight_decay_string": {"weight_decay": "a"}, "rot_deg_inf": {"rot_deg": 1e309},
+             "trans_vox_float": {"trans_vox": 2.5}, "betas_one": {"betas": [0.9]}}
 
 
 def segctl(*args, **kw):
@@ -114,13 +120,16 @@ class TestDataErrors:
         {"model": {**TINY_MODEL, "in_channels": 0}, "train": TINY_TRAIN},
         {"model": 5, "train": TINY_TRAIN},
         [],
-    ], ids=["heads_0", "depths_negative", "in_channels_0", "model_not_object", "list"])
+        *({"model": TINY_MODEL, "train": {**TINY_TRAIN, **bad}} for bad in BAD_TRAIN.values()),
+    ], ids=["heads_0", "depths_negative", "in_channels_0", "model_not_object", "list",
+            *BAD_TRAIN])
     def test_malformed_run_config(self, tiny_data, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         r = segctl("train", "--data", tiny_data / "manifest.json",
-                   "--out", tmp_path / "run", "--config", path, "--steps", 1)
+                   "--out", tmp_path / "run", "--config", path)
         assert r.returncode == 3, r.stderr
+        assert not (tmp_path / "run").exists()   # rejected before anything is written
 
     @pytest.mark.parametrize("fault", ["truncated", "bad_magic", *TABLE_FAULTS])
     def test_corrupt_checkpoint(self, tmp_path, fault):

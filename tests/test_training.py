@@ -2,18 +2,58 @@ import json
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from swinseg import autodiff as ad
 from swinseg.autodiff import Tensor
 from swinseg.lossmetrics import OneHotTarget, soft_dice_loss
 from swinseg.model import Checkpoint, ConfigError, ModelConfig, SwinSegModel
-from swinseg.phantom import PhantomConfig, build_dataset
+from swinseg.phantom import PhantomConfig, build_dataset, generate_phantom
 from swinseg.training import (
-    OptimizerState, TrainConfig, TrainingError, adamw_step, apply_rigid,
-    augment, finetune_mixed, generate_pseudo_labels, run_training,
-    sample_patch, sliding_window_infer, train,
+    OptimizerState, TrainConfig, TrainingError, _rot_matrix, adamw_step,
+    augment, class_voxels, finetune_mixed, generate_pseudo_labels, run_training,
+    sample_patch, sliding_window_infer, train, warp_patch,
 )
 from swinseg.volio import LabelMap, Volume, load_manifest, read_mvol
+
+
+def reference_warp(vol, lab, angles_rad, translation):
+    """The whole volume under the rigid transform, every voxel warped: image
+    trilinear, labels nearest, out-of-field voxels zero/background. The oracle
+    for warp_patch, which builds only one window of it."""
+    dims = np.asarray(vol.dims)
+    r = _rot_matrix(angles_rad)
+    c = (dims - 1) / 2.0
+    t = np.asarray(translation, dtype=np.float64)
+    grid = np.stack(np.meshgrid(*[np.arange(n) for n in dims], indexing="ij"))
+    pts = grid.reshape(3, -1).astype(np.float64)
+    src = (r.T @ (pts - (c + t)[:, None]) + c[:, None]).reshape(3, *dims)
+    out_v = map_coordinates(vol.voxels.astype(np.float64), src, order=1,
+                            mode="constant", cval=0.0).astype(np.float32)
+    idx = np.rint(src).astype(np.int64)
+    inside = np.all((idx >= 0) & (idx < dims[:, None, None, None]), axis=0)
+    idxc = np.clip(idx, 0, (dims - 1)[:, None, None, None])
+    out_l = np.where(inside, lab.labels[idxc[0], idxc[1], idxc[2]], 0).astype(np.uint8)
+    return out_v, out_l
+
+
+def reference_crop(vol, lab, patch, pos_prob, rng):
+    """Zero-pad to the patch, then crop a patch^3 window about a class-balanced
+    foreground centre (probability pos_prob) or a uniform one: the unwarped
+    sampler, with the same draws as sample_patch."""
+    pads = [(0, max(0, patch - n)) for n in vol.dims]
+    vox, labels = np.pad(vol.voxels, pads), np.pad(lab.labels, pads)
+    center = None
+    if pos_prob > 0 and rng.random() < pos_prob:
+        fg = class_voxels(labels)
+        if fg:
+            vlist = fg[sorted(fg)[rng.integers(len(fg))]]
+            center = vlist[rng.integers(len(vlist))]
+    if center is None:
+        center = np.array([rng.integers(n) for n in vox.shape])
+    lo = np.clip(center - patch // 2, 0, np.asarray(vox.shape) - patch)
+    sl = tuple(slice(int(a), int(a) + patch) for a in lo)
+    return vox[sl], labels[sl]
 
 
 def toy_cfg():
@@ -37,6 +77,27 @@ class TestTrainConfig:
     def test_unknown_keys_named(self):
         with pytest.raises(ConfigError, match="stepz"):
             TrainConfig.from_dict({"steps": 3, "stepz": 3})
+
+    @pytest.mark.parametrize("field,value", [
+        ("steps", -3), ("steps", 2.0), ("warmup_steps", -1), ("checkpoint_every", -1),
+        ("trans_vox", 2.5), ("trans_vox", -1), ("seed", -1), ("seed", True),
+        ("patch_size", 0), ("batch_size", 0), ("batch_size", 1.5),
+        ("lr", "x"), ("lr", -1e-3), ("lr", float("nan")),
+        pytest.param("lr", 10 ** 400, id="lr-huge_int"), ("weight_decay", "a"),
+        ("rot_deg", 1e309), ("rot_deg", -5.0), ("adam_eps", -1.0), ("adam_eps", None),
+        ("betas", [0.9]), ("betas", [0.9, 1.0]), ("betas", "ab"), ("betas", 0.9),
+        ("betas", [0.9, float("inf")]), ("pos_sample_prob", 1.5), ("overlap", "0.5"),
+        ("lr_decay", "linear"), ("augment", 1),
+    ])
+    def test_bad_value_names_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"TrainConfig.{field} "):
+            TrainConfig.from_dict({field: value})
+
+    def test_valid_edges_accepted(self):
+        cfg = TrainConfig.from_dict({"steps": 0, "trans_vox": 0, "rot_deg": 0, "lr": 0,
+                                     "betas": [0, 0.5], "patch_size": 1,
+                                     "batch_size": 1, "pos_sample_prob": 1})
+        assert cfg.betas == (0, 0.5)
 
 
 class TestAdamW:
@@ -95,6 +156,9 @@ class TestAdamW:
 
 
 class TestAugment:
+    """warp_patch over a window that covers the whole volume is the
+    full-volume warp."""
+
     def _case(self, rng):
         vox = rng.normal(size=(16, 16, 16)).astype(np.float32)
         lab = np.zeros((16, 16, 16), np.uint8)
@@ -104,13 +168,13 @@ class TestAugment:
 
     def test_identity_transform(self, rng):
         vol, lab = self._case(rng)
-        v2, l2 = apply_rigid(vol, lab, (0.0, 0.0, 0.0), (0, 0, 0))
-        np.testing.assert_allclose(v2.voxels, vol.voxels, atol=1e-5)
+        v2, l2 = warp_patch(vol, lab, 16, (0, 0, 0), (0.0, 0.0, 0.0), (0, 0, 0))
+        np.testing.assert_array_equal(v2.voxels, vol.voxels)
         np.testing.assert_array_equal(l2.labels, lab.labels)
 
     def test_pure_translation(self, rng):
         vol, lab = self._case(rng)
-        v2, l2 = apply_rigid(vol, lab, (0.0, 0.0, 0.0), (2, 0, 0))
+        v2, l2 = warp_patch(vol, lab, 16, (0, 0, 0), (0.0, 0.0, 0.0), (2, 0, 0))
         # content moves +2 along the first axis; the interior matches exactly
         np.testing.assert_allclose(v2.voxels[2:], vol.voxels[:-2], atol=1e-5)
         np.testing.assert_array_equal(l2.labels[2:], lab.labels[:-2])
@@ -118,19 +182,27 @@ class TestAugment:
 
     def test_quarter_turn_preserves_volume(self, rng):
         vol, lab = self._case(rng)
-        _, l2 = apply_rigid(vol, lab, (np.pi / 2, 0.0, 0.0), (0, 0, 0))
+        _, l2 = warp_patch(vol, lab, 16, (0, 0, 0), (np.pi / 2, 0.0, 0.0), (0, 0, 0))
         # rigid rotation with nearest labels keeps the voxel count close
         n0, n1 = (lab.labels == 1).sum(), (l2.labels == 1).sum()
         assert abs(int(n0) - int(n1)) <= 0.1 * n0
 
     def test_augment_zero_ranges_identity(self, rng):
+        # zero ranges draw the identity transform: the plain crop, same draws
         vol, lab = self._case(rng)
-        v2, l2 = augment(vol, lab, np.random.default_rng(0), rot_deg=0, trans_vox=0)
-        assert v2 is vol and l2 is lab
+        for seed in range(10):
+            draws, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            rigid = augment(draws, rot_deg=0, trans_vox=0)
+            augment(ref, rot_deg=0, trans_vox=0)
+            v2, l2 = sample_patch(vol, lab, 8, 0.5, draws, rigid=rigid)
+            rv, rl = reference_crop(vol, lab, 8, 0.5, ref)
+            np.testing.assert_array_equal(v2.voxels, rv)
+            np.testing.assert_array_equal(l2.labels, rl)
 
     def test_augment_label_values_preserved(self, rng):
         vol, lab = self._case(rng)
-        _, l2 = augment(vol, lab, np.random.default_rng(1))
+        draws = np.random.default_rng(1)
+        _, l2 = sample_patch(vol, lab, 16, 0.5, draws, rigid=augment(draws))
         assert set(np.unique(l2.labels).tolist()) <= {0, 1}
         assert l2.available == lab.available
 
@@ -174,6 +246,77 @@ class TestSamplePatch:
         assert 0.4 < hits / 300 < 0.8
 
 
+def _box_case(dims, boxes):
+    """Random image; label k inside the k-th (z, y, x) slice box."""
+    vox = np.random.default_rng(sum(dims)).normal(size=dims).astype(np.float32)
+    labels = np.zeros(dims, np.uint8)
+    for k, box in enumerate(boxes, 1):
+        labels[box] = k
+    return (Volume(vox, (1, 1, 1)),
+            LabelMap(labels, (1, 1, 1), len(boxes), frozenset(range(1, len(boxes) + 1))))
+
+
+@pytest.fixture(scope="module")
+def phantom64():
+    cfg = PhantomConfig(dims=(64, 64, 64), num_classes=3, seed=4)
+    return generate_phantom(cfg, np.random.default_rng(4))
+
+
+class TestPatchWarp:
+    """Oracles for the patch-only warp: the plain crop at zero transform, the
+    same window of the full-volume warp at any other."""
+
+    @pytest.mark.parametrize("dims", [(64, 64, 64), (40, 24, 36)])
+    def test_zero_transform_is_plain_crop(self, dims):
+        vol, lab = _box_case(dims, [np.s_[5:12, 3:9, 10:20], np.s_[20:30, 15:22, 2:6]])
+        for seed in range(20):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            pv, pl = sample_patch(vol, lab, 32, 0.5, a, rigid=((0.0, 0.0, 0.0), (0, 0, 0)))
+            rv, rl = reference_crop(vol, lab, 32, 0.5, b)
+            np.testing.assert_array_equal(pv.voxels, rv)
+            np.testing.assert_array_equal(pl.labels, rl)
+            assert a.random() == b.random()   # the same number of draws
+
+    def test_random_transform_matches_full_warp(self, phantom64):
+        vol, lab = phantom64
+        rng = np.random.default_rng(12)
+        for rot_deg in (15.0, 15.0, 15.0, 40.0, 40.0):
+            angles, trans = augment(rng, rot_deg, 4)
+            ref_v, ref_l = reference_warp(vol, lab, angles, trans)
+            lo = rng.integers(0, 64 - 32 + 1, size=3)
+            pv, pl = warp_patch(vol, lab, 32, lo, angles, trans)
+            sl = tuple(slice(a, a + 32) for a in lo)
+            assert np.abs(pv.voxels - ref_v[sl]).max() <= 1e-6
+            np.testing.assert_array_equal(pl.labels, ref_l[sl])
+
+    def test_volume_smaller_than_patch_matches_warp_then_pad(self):
+        dims = (40, 24, 36)
+        vol, lab = _box_case(dims, [np.s_[5:30, 3:20, 10:30], np.s_[30:38, 15:22, 2:6]])
+        pads = [(0, max(0, 32 - n)) for n in dims]
+        rng = np.random.default_rng(13)
+        for _ in range(6):
+            angles, trans = augment(rng, 15.0, 4)
+            ref_v, ref_l = (np.pad(x, pads) for x in reference_warp(vol, lab, angles, trans))
+            lo = [rng.integers(0, max(n, 32) - 32 + 1) for n in dims]
+            pv, pl = warp_patch(vol, lab, 32, lo, angles, trans)
+            sl = tuple(slice(a, a + 32) for a in lo)
+            assert np.abs(pv.voxels - ref_v[sl]).max() <= 1e-6
+            np.testing.assert_array_equal(pl.labels, ref_l[sl])
+            assert not pl.labels[:, 24:].any() and not pv.voxels[:, 24:].any()
+
+    def test_positive_patches_hold_foreground(self):
+        # a 3^3 blob off the rotation centre; its mapped centre never needs
+        # clipping, so the warped blob sits about the middle of the patch
+        vol, lab = _box_case((64, 64, 64), [np.s_[36:39, 25:28, 35:38]])
+        fg = class_voxels(lab.labels)
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            rigid = augment(rng, 15.0, 4)
+            _, pl = sample_patch(vol, lab, 32, 1.0, rng, fg_voxels=fg, rigid=rigid)
+            assert pl.labels.any(), seed
+            assert np.abs(np.argwhere(pl.labels).mean(axis=0) - 16).max() <= 2.5, seed
+
+
 class TestTrainLoop:
     def test_loss_decreases_and_logs(self, dataset):
         losses = []
@@ -193,16 +336,21 @@ class TestTrainLoop:
         for k in a.params:
             assert a.params[k].tobytes() == b.params[k].tobytes()
 
-    def test_resume_matches_straight_run(self, dataset):
-        cfg10 = TrainConfig(patch_size=16, batch_size=1, lr=1e-3, steps=10,
-                            seed=7, augment=False)
-        full = train(dataset, toy_cfg(), cfg10)
-        cfg5 = TrainConfig(patch_size=16, batch_size=1, lr=1e-3, steps=5,
-                           seed=7, augment=False)
-        half = train(dataset, toy_cfg(), cfg5)
-        resumed = train(dataset, toy_cfg(), cfg10, init=half, resume=True)
+    @staticmethod
+    def _assert_resume_exact(dataset, augment):
+        kw = dict(patch_size=16, batch_size=1, lr=1e-3, seed=7, augment=augment)
+        full = train(dataset, toy_cfg(), TrainConfig(steps=10, **kw))
+        half = train(dataset, toy_cfg(), TrainConfig(steps=5, **kw))
+        resumed = train(dataset, toy_cfg(), TrainConfig(steps=10, **kw),
+                        init=half, resume=True)
         for k in full.params:
             assert resumed.params[k].tobytes() == full.params[k].tobytes(), k
+
+    def test_resume_matches_straight_run(self, dataset):
+        self._assert_resume_exact(dataset, augment=False)
+
+    def test_resume_matches_straight_run_augmented(self, dataset):
+        self._assert_resume_exact(dataset, augment=True)
 
     def test_masked_class_params_only_decay(self, dataset, tmp_path):
         # a label map with class 3 unavailable: the head row for class 3
