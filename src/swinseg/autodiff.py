@@ -556,7 +556,10 @@ def layer_norm(x, gamma, beta, eps=1e-5) -> Tensor:
 # -- backward ----------------------------------------------------------------
 
 def backward(loss: Tensor):
-    """Populate .grad on every requires_grad tensor reachable from loss."""
+    """Accumulate into .grad of every leaf reachable from loss: a
+    requires_grad tensor that no recorded op produced, such as a parameter.
+    Op outputs get no .grad, so each intermediate gradient is freed once its
+    op's backward has run."""
     if loss.data.size != 1:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
     if loss._done:
@@ -585,9 +588,9 @@ def backward(loss: Tensor):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
+        if node._backward is None:
             node.grad = g if node.grad is None else node.grad + g
-        if node._backward is not None:
+        else:
             node._backward(g, grads)
     loss._done = True
 

@@ -1,9 +1,12 @@
 """segctl: single executable orchestrating the pipeline end-to-end.
 
 Subcommands: phantom | preprocess | train | pseudolabel | finetune | infer
-| postprocess | evaluate. Exit codes: 0 success, 2 usage, 3 config,
-4 data, 5 runtime. Heavy imports happen after --threads is applied so the
-BLAS thread cap actually takes effect.
+| postprocess | evaluate. ``train`` and ``finetune`` share one handler:
+``finetune`` starts from ``--ckpt`` (whose model config wins over the run
+config's) and trains on the labeled and pseudo splits. ``infer`` and
+``pseudolabel`` segment through ``training.segment``. Exit codes: 0 success,
+2 usage, 3 config, 4 data, 5 runtime. Heavy imports happen after --threads
+is applied so the BLAS thread cap actually takes effect.
 """
 
 from __future__ import annotations
@@ -108,7 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_run_config(path, args):
-    """Merge config file sections with CLI flag overrides."""
+    """Merge config file sections with CLI flag overrides. The file holds at
+    most a 'model' and a 'train' section; any other top-level key is a
+    ConfigError naming it."""
     from .model import ConfigError, ModelConfig
     from .training import TrainConfig
 
@@ -120,23 +125,18 @@ def _load_run_config(path, args):
             and all(isinstance(raw.get(k, {}), dict) for k in ("model", "train"))):
         raise ConfigError(f"{path}: run config must be a JSON object whose 'model' and "
                           "'train' sections are objects")
-    mdl = dict(raw.get("model", {}))
+    unknown = sorted(set(raw) - {"model", "train"})
+    if unknown:
+        raise ConfigError(f"{path}: unknown run config sections {', '.join(unknown)} "
+                          "(expected 'model' and 'train')")
+    mdl = {"num_classes": 5, **raw.get("model", {})}
     trn = dict(raw.get("train", {}))
     for key, attr in (("steps", "steps"), ("patch", "patch_size"),
                       ("lr", "lr"), ("seed", "seed")):
         v = getattr(args, key, None)
         if v is not None:
             trn[attr] = v
-    if "num_classes" not in mdl:
-        mdl["num_classes"] = raw.get("num_classes", 5)
     return ModelConfig.from_dict(mdl), TrainConfig.from_dict(trn)
-
-
-def _write_run_config(out_dir, model_cfg, tcfg):
-    from .volio import write_json
-    os.makedirs(out_dir, exist_ok=True)
-    write_json(os.path.join(out_dir, "config.json"),
-               {"model": model_cfg.to_dict(), "train": tcfg.to_dict()})
 
 
 def _jsonl_logger(path):
@@ -172,33 +172,28 @@ def cmd_preprocess(args):
 
 
 def cmd_train(args):
-    from .training import train
-    from .volio import load_manifest
-    manifest = load_manifest(args.data)
-    model_cfg, tcfg = _load_run_config(args.config, args)
-    _write_run_config(args.out, model_cfg, tcfg)
-    log, fh = _jsonl_logger(os.path.join(args.out, "logs.jsonl"))
-    try:
-        ckpt = train(manifest, model_cfg, tcfg, log_fn=log, out_dir=args.out)
-    finally:
-        fh.close()
-    print(f"trained {ckpt.step} steps -> {os.path.join(args.out, 'checkpoints/final.mckp')}")
-
-
-def cmd_finetune(args):
+    """``train`` from fresh weights on the labeled split, or ``finetune``
+    from ``--ckpt`` on the labeled and pseudo splits."""
     from .model import load_checkpoint
-    from .training import finetune_mixed
-    from .volio import load_manifest
+    from .training import run_training
+    from .volio import load_manifest, write_json
     manifest = load_manifest(args.data)
-    init = load_checkpoint(args.ckpt)
-    _, tcfg = _load_run_config(args.config, args)
-    _write_run_config(args.out, init.cfg, tcfg)
+    init = load_checkpoint(args.ckpt) if args.command == "finetune" else None
+    model_cfg, tcfg = _load_run_config(args.config, args)
+    splits = ("labeled",)
+    if init is not None:
+        model_cfg, splits = init.cfg, ("labeled", "pseudo")
+    os.makedirs(args.out, exist_ok=True)
+    write_json(os.path.join(args.out, "config.json"),
+               {"model": model_cfg.to_dict(), "train": tcfg.to_dict()})
     log, fh = _jsonl_logger(os.path.join(args.out, "logs.jsonl"))
     try:
-        ckpt = finetune_mixed(init, manifest, tcfg, log_fn=log, out_dir=args.out)
+        ckpt = run_training(manifest, model_cfg, tcfg, splits=splits, init=init,
+                            log_fn=log, out_dir=args.out)
     finally:
         fh.close()
-    print(f"fine-tuned {ckpt.step} steps -> {os.path.join(args.out, 'checkpoints/final.mckp')}")
+    print(f"{args.command}: {ckpt.step} steps -> "
+          f"{os.path.join(args.out, 'checkpoints/final.mckp')}")
 
 
 def cmd_pseudolabel(args):
@@ -213,39 +208,19 @@ def cmd_pseudolabel(args):
     updated = generate_pseudo_labels(ckpt, manifest, args.out, tcfg,
                                      connectivity=args.connectivity,
                                      min_size=args.min_size)
-    out_manifest = os.path.join(args.out, "manifest.json")
-    # keep paths resolvable relative to the new manifest location
-    rebased = _rebase_manifest(updated, args.out)
-    save_manifest(rebased, out_manifest)
+    save_manifest(updated, os.path.join(args.out, "manifest.json"))
     print(f"wrote pseudo labels + manifest to {args.out}")
 
 
-def _rebase_manifest(manifest, new_root):
-    from .volio import CaseEntry, DatasetManifest
-    cases = []
-    for c in manifest.cases:
-        img = os.path.relpath(os.path.join(manifest.root, c.image), new_root)
-        lab = (os.path.relpath(os.path.join(manifest.root, c.label), new_root)
-               if c.label else None)
-        cases.append(CaseEntry(c.case_id, img, lab, c.split))
-    return DatasetManifest(cases, root=str(new_root))
-
-
 def cmd_infer(args):
-    from .model import load_checkpoint, predict_labels
-    from .postprocess import keep_largest_per_label
-    from .preprocess import zscore
-    from .training import sliding_window_infer
+    from .model import load_checkpoint
+    from .training import segment
     from .volio import read_mvol, write_mvol
     ckpt = load_checkpoint(args.ckpt)
     vol = read_mvol(args.inp)
-    if not args.no_normalize:
-        vol, _ = zscore(vol)
-    probs = sliding_window_infer(ckpt.to_model(), vol, args.patch, args.overlap)
-    lab = predict_labels(probs, vol.spacing_mm, ckpt.cfg.num_classes)
-    if not args.no_postprocess:
-        lab = keep_largest_per_label(lab, connectivity=args.connectivity,
-                                     min_size=args.min_size)
+    lab = segment(ckpt.to_model(), vol, args.patch, args.overlap,
+                  normalize=not args.no_normalize, postprocess=not args.no_postprocess,
+                  connectivity=args.connectivity, min_size=args.min_size)
     write_mvol(lab, args.out)
     print(f"wrote {args.out}")
 
@@ -288,7 +263,7 @@ COMMANDS = {
     "phantom": cmd_phantom,
     "preprocess": cmd_preprocess,
     "train": cmd_train,
-    "finetune": cmd_finetune,
+    "finetune": cmd_train,
     "pseudolabel": cmd_pseudolabel,
     "infer": cmd_infer,
     "postprocess": cmd_postprocess,

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,38 +20,34 @@ class GenerationError(RuntimeError):
 
 @dataclass
 class PhantomConfig:
+    """The volume extent, the foreground class count J and the seed. The
+    intensity and geometry settings are fixed class constants."""
     dims: tuple[int, int, int] = (64, 64, 64)
-    spacing_mm: tuple[float, float, float] = (1.0, 1.0, 1.0)
     num_classes: int = 5
-    class_means: list[float] | None = None     # length num_classes; defaults spread
-    class_stds: list[float] | None = None
-    background_mean: float = 0.0
-    background_std: float = 0.05
-    noise_std: float = 0.035
-    organ_frac: tuple[float, float] = (0.11, 0.18)  # semi-axis range, fraction of dims
-    center_frac: float = 0.22      # organ centers stay within dims*(0.5 +- this)
-    tumor_frac: float = 0.55       # tumor radius as a fraction of organ 1's min semi-axis
-    min_separation: int = 2                    # voxel gap enforced between organs
-    max_retries: int = 1000
     seed: int = 0
+
+    spacing_mm = (1.0, 1.0, 1.0)
+    background_mean = 0.0
+    background_std = 0.05
+    noise_std = 0.035              # also the std of every foreground class
+    organ_frac = (0.11, 0.18)      # semi-axis range, fraction of dims
+    center_frac = 0.22             # organ centers stay within dims*(0.5 +- this)
+    tumor_frac = 0.55              # tumor radius as a fraction of organ 1's min semi-axis
+    min_separation = 2             # voxel gap enforced between organs
+    max_retries = 1000
 
     def __post_init__(self):
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
-        if self.class_means is None:
-            self.class_means = [0.2 + 0.8 * i / max(1, self.num_classes - 1)
-                                for i in range(self.num_classes)]
-        if self.class_stds is None:
-            self.class_stds = [self.noise_std] * self.num_classes
-        if len(self.class_means) != self.num_classes:
-            raise ValueError("class_means length must equal num_classes")
-        means = [self.background_mean] + list(self.class_means)
+        # classes 1..J spread evenly over [0.2, 1.0]; the means ascend from the
+        # background's, so adjacent pairs are the closest ones
+        self.class_means = [0.2 + 0.8 * i / max(1, self.num_classes - 1)
+                            for i in range(self.num_classes)]
+        means = [self.background_mean, *self.class_means]
         gap = 2.0 * self.noise_std
-        for i in range(len(means)):
-            for j in range(i + 1, len(means)):
-                if abs(means[i] - means[j]) < gap:
-                    raise ValueError(
-                        f"intensity means {means[i]} and {means[j]} closer than 2*noise_std={gap}")
+        for a, b in zip(means, means[1:]):
+            if b - a < gap:
+                raise ValueError(f"intensity means {a} and {b} closer than 2*noise_std={gap}")
 
 
 def _ellipsoid_box(dims, center, semi):
@@ -129,8 +125,7 @@ def generate_phantom(cfg: PhantomConfig, rng: np.random.Generator):
     for c in range(1, j + 1):
         m = labels == c
         if m.any():
-            vox[m] = rng.normal(cfg.class_means[c - 1], cfg.class_stds[c - 1],
-                                size=int(m.sum()))
+            vox[m] = rng.normal(cfg.class_means[c - 1], cfg.noise_std, size=int(m.sum()))
     vox = vox.astype(np.float32)
 
     vol = Volume(vox, cfg.spacing_mm)

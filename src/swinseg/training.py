@@ -1,8 +1,8 @@
 """Training protocol: positive-biased patch sampling with rigid
 augmentation (each sample warps only its patch^3 window, not the whole
 volume), AdamW with decoupled weight decay, soft-Dice training on partial
-labels, sliding-window inference, and pseudo-label generation for the
-semi-supervised fine-tuning round."""
+labels, sliding-window inference, one segmentation routine (``segment``),
+and pseudo-label generation for the semi-supervised fine-tuning round."""
 
 from __future__ import annotations
 
@@ -355,23 +355,8 @@ def train(manifest: DatasetManifest, model_cfg: ModelConfig, tcfg: TrainConfig,
           log_fn=None, out_dir=None, init: Checkpoint | None = None,
           resume: bool = False) -> Checkpoint:
     """Supervised pretraining on the partially labeled split."""
-    if not manifest.split("labeled"):
-        raise TrainingError("manifest has no labeled cases")
     return run_training(manifest, model_cfg, tcfg, splits=("labeled",),
                         init=init, resume=resume, log_fn=log_fn, out_dir=out_dir)
-
-
-def finetune_mixed(init: Checkpoint, manifest: DatasetManifest, tcfg: TrainConfig,
-                   log_fn=None, out_dir=None) -> Checkpoint:
-    """Fine-tune on the union of labeled (partial masks) and pseudo-labeled
-    (full availability) cases, sampled uniformly."""
-    labeled = manifest.split("labeled")
-    pseudo = manifest.split("pseudo")
-    if not labeled and not pseudo:
-        raise TrainingError("manifest has neither labeled nor pseudo cases")
-    splits = ("labeled", "pseudo")
-    return run_training(manifest, init.cfg, tcfg, splits=splits,
-                        init=init, resume=False, log_fn=log_fn, out_dir=out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +401,28 @@ def sliding_window_infer(model: SwinSegModel, vol: Volume, patch: int,
     return out[:, :d, :h, :w]
 
 
+def segment(model: SwinSegModel, vol: Volume, patch: int, overlap: float = 0.5,
+            normalize: bool = True, postprocess: bool = True,
+            connectivity: int = 26, min_size: int = 0) -> LabelMap:
+    """Hard labels for one volume: z-score (if normalize) -> sliding-window
+    probabilities -> per-voxel argmax -> keep the largest component per label
+    (if postprocess). The one segmentation path behind ``segctl infer`` and
+    pseudo-labelling."""
+    if normalize:
+        vol, _ = zscore(vol)
+    probs = sliding_window_infer(model, vol, patch, overlap)
+    lab = predict_labels(probs, vol.spacing_mm, model.cfg.num_classes)
+    if postprocess:
+        lab = keep_largest_per_label(lab, connectivity=connectivity, min_size=min_size)
+    return lab
+
+
 def generate_pseudo_labels(ckpt: Checkpoint, manifest: DatasetManifest,
                            out_dir, tcfg: TrainConfig,
                            connectivity: int = 26, min_size: int = 0) -> DatasetManifest:
-    """Predict hard labels for every unlabeled case, post-process with
-    keep_largest_per_label, write them with full availability, and return a
-    manifest where those cases moved to the 'pseudo' split."""
+    """Segment every unlabeled case with ``segment`` (post-processing on),
+    write the labels with full availability, and return a manifest where
+    those cases moved to the 'pseudo' split."""
     unlabeled = manifest.split("unlabeled")
     model = ckpt.to_model()
     os.makedirs(out_dir, exist_ok=True)
@@ -430,12 +431,9 @@ def generate_pseudo_labels(ckpt: Checkpoint, manifest: DatasetManifest,
         if entry.split != "unlabeled":
             new_cases.append(entry)
             continue
-        vol = read_mvol(manifest.image_path(entry))
-        if tcfg.normalize:
-            vol, _ = zscore(vol)
-        probs = sliding_window_infer(model, vol, tcfg.patch_size, tcfg.overlap)
-        lab = predict_labels(probs, vol.spacing_mm, ckpt.cfg.num_classes)
-        lab = keep_largest_per_label(lab, connectivity=connectivity, min_size=min_size)
+        lab = segment(model, read_mvol(manifest.image_path(entry)), tcfg.patch_size,
+                      tcfg.overlap, normalize=tcfg.normalize,
+                      connectivity=connectivity, min_size=min_size)
         label_name = f"{entry.case_id}_pseudo.mvol"
         write_mvol(lab, os.path.join(out_dir, label_name))
         rel = os.path.relpath(os.path.join(out_dir, label_name), manifest.root)

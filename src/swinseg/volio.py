@@ -275,8 +275,17 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def save_manifest(manifest: DatasetManifest, path):
+    """Write ``manifest`` to ``path`` with every file path relative to the
+    directory of ``path``, where ``load_manifest`` resolves it; so a manifest
+    may be saved anywhere."""
+    base = os.path.dirname(os.path.abspath(path))
+
+    def rel(p):
+        return None if p is None else os.path.relpath(os.path.join(manifest.root, p), base)
+
     write_json(path, {"cases": [
         {k: v for k, v in
-         {"id": c.case_id, "image": c.image, "label": c.label, "split": c.split}.items()
+         {"id": c.case_id, "image": rel(c.image), "label": rel(c.label),
+          "split": c.split}.items()
          if v is not None}
         for c in manifest.cases]})

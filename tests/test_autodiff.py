@@ -280,6 +280,15 @@ class TestBackward:
         with pytest.raises(GraphError):
             ad.backward(loss)
 
+    def test_grad_only_on_leaves(self, rng):
+        # an op output keeps no gradient; the leaf's is the same as always
+        x = t64(rng.normal(size=(5,)))
+        y = ad.sigmoid(x)
+        ad.backward(ad.reduce_sum(y * y))
+        assert y.grad is None
+        s = 1.0 / (1.0 + np.exp(-x.data))
+        np.testing.assert_allclose(x.grad, 2 * s * s * (1 - s), rtol=1e-12)
+
     def test_linearity(self, rng):
         x = t64(rng.normal(size=(4,)))
         ad.backward(ad.reduce_sum(ad.gelu(x)))

@@ -104,15 +104,19 @@ class TestDataErrors:
                    "--out", tmp_path, "--config", cfg, "--steps", 1)
         assert r.returncode == 3
 
-    @pytest.mark.parametrize("section,key", [({"train": {"stepz": 3}}, "stepz"),
-                                             ({"model": {"embedz": 3}}, "embedz")])
+    @pytest.mark.parametrize("section,key", [
+        ({"train": {"stepz": 3}}, "stepz"),
+        ({"model": {"embedz": 3}}, "embedz"),
+        ({"modle": TINY_MODEL, "train": TINY_TRAIN}, "modle"),
+        ({"model": TINY_MODEL, "train": TINY_TRAIN, "num_classes": 3}, "num_classes")])
     def test_unknown_config_key(self, tiny_data, tmp_path, section, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(section))
         r = segctl("train", "--data", tiny_data / "manifest.json",
-                   "--out", tmp_path, "--config", cfg, "--steps", 1)
+                   "--out", tmp_path / "run", "--config", cfg, "--steps", 1)
         assert r.returncode == 3, r.stderr
         assert key in r.stderr
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("cfg", [
         {"model": {**TINY_MODEL, "heads": [0]}, "train": TINY_TRAIN},
@@ -281,6 +285,23 @@ class TestInferencePipeline:
 
 
 class TestPseudolabelFinetune:
+    def test_pseudolabel_matches_infer(self, tiny_data, tiny_run, tmp_path):
+        # one segmentation path: the same volume and settings give the same bytes
+        ck = tiny_run / "checkpoints" / "final.mckp"
+        r = segctl("pseudolabel", "--ckpt", ck, "--data", tiny_data / "manifest.json",
+                   "--out", tmp_path / "pseudo", "--config", tiny_run / "config.json",
+                   "--connectivity", 6)
+        assert r.returncode == 0, r.stderr
+        man = load_manifest(tmp_path / "pseudo" / "manifest.json")
+        (case,) = man.split("pseudo")
+        tcfg = json.loads((tiny_run / "config.json").read_text())["train"]
+        r = segctl("infer", "--ckpt", ck, "--in", man.image_path(case),
+                   "--out", tmp_path / "infer.mvol", "--patch", tcfg["patch_size"],
+                   "--overlap", tcfg["overlap"], "--connectivity", 6)
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / "infer.mvol").read_bytes() == \
+            (tmp_path / "pseudo" / f"{case.case_id}_pseudo.mvol").read_bytes()
+
     def test_full_semi_supervised_round(self, tiny_data, tiny_run, tmp_path):
         ck = tiny_run / "checkpoints" / "final.mckp"
         pl_dir = tmp_path / "pseudo"

@@ -13,8 +13,10 @@ class TestConfig:
         assert cfg.class_means == pytest.approx([0.2, 0.2 + 0.8 / 3, 0.2 + 1.6 / 3, 1.0])
 
     def test_separation_validation(self):
+        # 13 classes spread the means 0.8/12 apart, under 2*noise_std
         with pytest.raises(ValueError, match="noise_std"):
-            PhantomConfig(num_classes=2, class_means=[0.5, 0.55], noise_std=0.05)
+            PhantomConfig(num_classes=13)
+        PhantomConfig(num_classes=12)
 
 
 class TestGenerate:
@@ -37,7 +39,7 @@ class TestGenerate:
         # organs classes 1..J-1 keep at least min_separation empty voxels
         # between each other, so 26-dilating one never touches another
         from scipy.ndimage import binary_dilation
-        cfg = PhantomConfig(dims=(48, 48, 48), num_classes=4, min_separation=2)
+        cfg = PhantomConfig(dims=(48, 48, 48), num_classes=4)
         _, lab = generate_phantom(cfg, np.random.default_rng(2))
         for a in (1, 2, 3):
             grown = binary_dilation(lab.labels == a, iterations=2)

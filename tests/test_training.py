@@ -11,7 +11,7 @@ from swinseg.model import Checkpoint, ConfigError, ModelConfig, SwinSegModel
 from swinseg.phantom import PhantomConfig, build_dataset, generate_phantom
 from swinseg.training import (
     OptimizerState, TrainConfig, TrainingError, _rot_matrix, adamw_step,
-    augment, class_voxels, finetune_mixed, generate_pseudo_labels, run_training,
+    augment, class_voxels, generate_pseudo_labels, run_training,
     sample_patch, sliding_window_infer, train, warp_patch,
 )
 from swinseg.volio import LabelMap, Volume, load_manifest, read_mvol
@@ -464,8 +464,9 @@ class TestFinetune:
         tcfg = TrainConfig(patch_size=16, batch_size=1, steps=3, seed=0)
         ck = train(dataset, toy_cfg(), tcfg)
         man2 = generate_pseudo_labels(ck, dataset, tmp_path, tcfg)
-        ck2 = finetune_mixed(ck, man2, TrainConfig(patch_size=16, batch_size=1,
-                                                   steps=2, seed=1))
+        ck2 = run_training(man2, ck.cfg, TrainConfig(patch_size=16, batch_size=1,
+                                                     steps=2, seed=1),
+                           splits=("labeled", "pseudo"), init=ck)
         assert ck2.step == 2
         changed = any(ck2.params[k].tobytes() != ck.params[k].tobytes()
                       for k in ck.params)
@@ -477,4 +478,5 @@ class TestFinetune:
         empty = type(dataset)([e for e in dataset.cases if e.split == "val"],
                               root=dataset.root)
         with pytest.raises(TrainingError):
-            finetune_mixed(ck, empty, TrainConfig(steps=1))
+            run_training(empty, ck.cfg, TrainConfig(steps=1), splits=("labeled", "pseudo"),
+                         init=ck)

@@ -279,6 +279,22 @@ class TestManifest:
         m2 = load_manifest(tmp_path / "m2.json")
         assert m2.cases == m.cases
 
+    def test_save_elsewhere_resolves(self, tmp_path):
+        # paths are written relative to the new manifest's own directory
+        (tmp_path / "data").mkdir()
+        m = load_manifest(self._write(tmp_path / "data", [
+            {"id": "a", "image": "a.mvol", "label": "a_l.mvol", "split": "labeled"},
+            {"id": "b", "image": "b.mvol", "split": "unlabeled"},
+        ]))
+        out = tmp_path / "other" / "deeper"
+        out.mkdir(parents=True)
+        save_manifest(m, out / "manifest.json")
+        m2 = load_manifest(out / "manifest.json")
+        assert [c.image for c in m2.cases] == ["../../data/a.mvol", "../../data/b.mvol"]
+        for c, c2 in zip(m.cases, m2.cases):
+            assert os.path.samefile(m.image_path(c), m2.image_path(c2))
+        assert os.path.samefile(m.label_path(m.cases[0]), m2.label_path(m2.cases[0]))
+
 
 class TestInvariants:
     def test_label_invariant_enforced(self):
